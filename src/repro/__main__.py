@@ -46,6 +46,11 @@ Commands:
   (byte-identical to serial), ``--json FILE`` saves the report, and
   ``--strict`` additionally fails on any silent data corruption,
 * ``report [path]`` — regenerate the full EXPERIMENTS.md (slow).
+
+Every target argument goes through :meth:`repro.target.Target.resolve`:
+kernel names match exactly, app names case-insensitively (``app1`` is
+``APP1``) in every command, and an unknown name exits with one shared
+message listing both registries.
 """
 
 import argparse
@@ -157,13 +162,13 @@ def cmd_run(args):
 
 
 def cmd_app(args):
-    from repro.sim.baselines import ARCHITECTURES, ARCH_STITCH, AppEvaluator
-    from repro.workloads.apps import APP_FACTORIES
+    from repro.sim.baselines import ARCHITECTURES, ARCH_STITCH
 
-    factory = APP_FACTORIES.get(args.app.upper())
-    if factory is None:
-        sys.exit(f"unknown app {args.app!r}; choose from {sorted(APP_FACTORIES)}")
-    evaluator = AppEvaluator(factory(seed=args.seed))
+    target = _resolve(args.app, args.seed)
+    if not target.is_app:
+        sys.exit(f"{target.name!r} is a kernel, not an app; use "
+                 f"`repro compile {target.name}`")
+    evaluator = target.evaluator
     print(f"evaluating {evaluator.app.name} (compiles every kernel option)...")
     throughputs = evaluator.normalized_throughputs()
     for arch in ARCHITECTURES:
@@ -178,15 +183,12 @@ def cmd_app(args):
             TimeSeries(interval=args.interval) if args.timeseries else None
         )
         telemetry = Telemetry(timeseries=timeseries)
-        system, _ = evaluator.build_system(
-            ARCH_STITCH, items=args.items, telemetry=telemetry
-        )
-        results = system.run()  # flushes sampling + derives energy
+        run = target.run(items=args.items, telemetry=telemetry)
         print(f"co-simulated {evaluator.app.name} on {ARCH_STITCH}: "
-              f"makespan {system.makespan(results)} cycles")
+              f"makespan {run.cycles} cycles")
         if args.stats:
-            print(results.stats.render())
-            print(check_run(results).render())
+            print(run.results.stats.render())
+            print(check_run(run.results).render())
         if args.trace:
             telemetry.tracer.write_chrome(args.trace)
             print(
@@ -205,36 +207,24 @@ def cmd_profile(args):
     import json
 
     from repro.profile import (
-        profile_app_cycles,
-        profile_kernel_cycles,
+        profile_target,
         render_annotated,
         render_folded,
         render_summary,
     )
     from repro.verify import check_profile, check_profile_run
-    from repro.workloads import KERNEL_FACTORIES
-    from repro.workloads.apps import APP_FACTORIES
 
-    target = args.target
-    if target in KERNEL_FACTORIES:
-        profile, core = profile_kernel_cycles(target, seed=args.seed)
-        profiles = {core.core_id: profile}
-        report = check_profile(profile, total_cycles=core.cycles)
-    elif target.upper() in APP_FACTORIES:
-        profiles, results = profile_app_cycles(
-            target, seed=args.seed, items=args.items
-        )
-        report = check_profile_run(profiles, results)
+    target = _resolve(args.target, args.seed)
+    profiles, run = profile_target(target, items=args.items)
+    if target.is_app:
+        report = check_profile_run(profiles, run.results)
     else:
-        sys.exit(
-            f"unknown profile target {target!r}: not a kernel "
-            f"({sorted(KERNEL_FACTORIES)}) or app ({sorted(APP_FACTORIES)})"
-        )
+        report = check_profile(profiles[0], total_cycles=run.cycles)
 
     ordered = [profiles[tile] for tile in sorted(profiles)]
     if args.json:
         payload = {
-            "target": target,
+            "target": target.name,
             "reconciled": all(p.reconciles() for p in ordered),
             "tiles": {str(p.tile): p.to_dict() for p in ordered},
             "diagnostics": report.to_dict(),
@@ -267,7 +257,14 @@ def cmd_monitor(args):
         with _open_trace(target, "r") as handle:
             payload = json.load(handle)
     else:
-        payload = _capture_timeseries(target, args)
+        from repro.telemetry import NULL_STATS, NULL_TRACER, Telemetry, TimeSeries
+
+        timeseries = TimeSeries(interval=args.interval)
+        _resolve(target, args.seed).run(
+            items=args.items,
+            telemetry=Telemetry(NULL_STATS, NULL_TRACER, timeseries),
+        )
+        payload = timeseries.to_dict()
     report = check_timeseries(payload)
     print(render_monitor(payload, width=args.width))
     if not report.ok():
@@ -284,15 +281,11 @@ def cmd_critpath(args):
         render_gantt,
         render_summary,
     )
-    from repro.critpath.runner import record_target, validate_whatif
+    from repro.critpath.runner import record, validate_whatif
     from repro.verify import check_critpath
 
     platform = _load_platform(args.platform) if args.platform else None
-    try:
-        run = record_target(args.target, seed=args.seed, items=args.items,
-                            platform=platform)
-    except KeyError as exc:
-        sys.exit(str(exc.args[0]) if exc.args else str(exc))
+    run = record(_resolve(args.target, args.seed, platform), items=args.items)
     report = check_critpath(run.graph, run.analysis, measured=run.measured)
 
     projections = []
@@ -306,24 +299,19 @@ def cmd_critpath(args):
     except (WhatIfError, WhatIfInfeasible) as exc:
         sys.exit(f"what-if failed: {exc}")
 
-    if args.out:
+    if args.out or args.json:
         payload = run.to_dict()
         payload["diagnostics"] = report.to_dict()
         if projections:
             payload["what_if"] = projections
         if validation is not None:
             payload["validation"] = validation
+    if args.out:
         with open(args.out, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote {args.out}", file=sys.stderr)
 
     if args.json:
-        payload = run.to_dict()
-        payload["diagnostics"] = report.to_dict()
-        if projections:
-            payload["what_if"] = projections
-        if validation is not None:
-            payload["validation"] = validation
         print(json.dumps(payload, indent=2))
     else:
         if args.gantt:
@@ -348,42 +336,14 @@ def cmd_critpath(args):
         sys.exit(1)
 
 
-def _capture_timeseries(target, args):
-    """Run a kernel or app with interval sampling on; returns the payload."""
-    from repro.power.chip import EnergyModel
-    from repro.telemetry import Telemetry, TimeSeries
-    from repro.workloads import KERNEL_FACTORIES, make_kernel
-    from repro.workloads.apps import APP_FACTORIES
+def _resolve(name, seed, platform=None):
+    """:meth:`Target.resolve`, exiting with its message on a bad name."""
+    from repro.target import Target, UnknownTargetError
 
-    timeseries = TimeSeries(interval=args.interval)
-    if target in KERNEL_FACTORIES:
-        from repro.cpu import Core
-        from repro.mem import MemorySystem
-
-        kernel = make_kernel(target, seed=args.seed)
-        core = Core(
-            kernel.program, MemorySystem.stitch(), timeseries=timeseries
-        )
-        kernel.setup(core)
-        core.run(max_instructions=5_000_000)
-        core.flush_timeseries()
-        timeseries.add_energy(EnergyModel())
-    elif target.upper() in APP_FACTORIES:
-        from repro.sim.baselines import ARCH_STITCH, AppEvaluator
-
-        evaluator = AppEvaluator(APP_FACTORIES[target.upper()](seed=args.seed))
-        system, _ = evaluator.build_system(
-            ARCH_STITCH, items=args.items,
-            telemetry=Telemetry(timeseries=timeseries),
-        )
-        system.run()  # flushes sampling + derives energy
-    else:
-        sys.exit(
-            f"unknown monitor target {target!r}: not a kernel "
-            f"({sorted(KERNEL_FACTORIES)}), app ({sorted(APP_FACTORIES)}) "
-            f"or existing capture file"
-        )
-    return timeseries.to_dict()
+    try:
+        return Target.resolve(name, seed=seed, platform=platform)
+    except UnknownTargetError as exc:
+        sys.exit(str(exc))
 
 
 def _verify_exit_code(report, strict):
@@ -444,21 +404,17 @@ def cmd_verify(args):
     if args.target is None:
         sys.exit("verify needs a kernel name, app name or .s file")
 
-    from repro.workloads import KERNEL_FACTORIES, make_kernel
-    from repro.workloads.apps import APP_FACTORIES
+    from repro.target import Target, UnknownTargetError
 
     target = args.target
     program = None  # the --dump-cfg subject, when the target has one
-    if target in KERNEL_FACTORIES:
-        kernel = make_kernel(target, seed=args.seed)
-        report = verify_kernel(
-            kernel, compile_options=not args.no_compile, deep=deep
-        )
-        program = kernel.program
-    elif target.upper() in APP_FACTORIES:
-        app = APP_FACTORIES[target.upper()](seed=args.seed)
-        report = verify_app(app, deep=deep)
-    elif os.path.isfile(target):
+    try:
+        resolved = Target.resolve(target, seed=args.seed)
+    except UnknownTargetError as exc:
+        if not os.path.isfile(target):
+            sys.exit(str(exc))
+        resolved = None
+    if resolved is None:
         with open(target) as handle:
             source = handle.read()
         report = verify_source(source, name=target, deep=deep)
@@ -468,12 +424,13 @@ def cmd_verify(args):
             program = assemble(source, name=target)
         except AssemblerError:
             program = None  # already reported as V100
+    elif resolved.is_app:
+        report = verify_app(resolved.app, deep=deep)
     else:
-        sys.exit(
-            f"unknown verify target {target!r}: not a kernel "
-            f"({sorted(KERNEL_FACTORIES)}), app ({sorted(APP_FACTORIES)}) "
-            f"or existing file"
+        report = verify_kernel(
+            resolved.kernel, compile_options=not args.no_compile, deep=deep
         )
+        program = resolved.kernel.program
 
     if args.dump_cfg:
         if program is None:
@@ -528,7 +485,7 @@ def _verify_platform(spec):
     return check_platform(config)
 
 
-def _explain_kernel(name, args):
+def _explain_kernel(target, args):
     import json
 
     from repro.compiler.driver import (
@@ -538,11 +495,10 @@ def _explain_kernel(name, args):
     )
     from repro.provenance import CompileReport, dfg_dot
     from repro.verify import check_compile_report
-    from repro.workloads import make_kernel
 
-    kernel = make_kernel(name, seed=args.seed)
-    report = CompileReport(name)
-    compiler = KernelCompiler(kernel, allow_replication=True, report=report)
+    report = CompileReport(target.name)
+    compiler = KernelCompiler(target.kernel, allow_replication=True,
+                              report=report)
     options = ALL_OPTIONS + (LOCUS_OPTION,)
     if args.option:
         options = tuple(o for o in options if o.name == args.option)
@@ -566,17 +522,15 @@ def _explain_kernel(name, args):
         sys.exit("provenance accounting failed: candidates unaccounted for")
 
 
-def _explain_app(name, args):
+def _explain_app(target, args):
     import json
 
     from repro.core.placement import DEFAULT_PLACEMENT
     from repro.provenance import StitchTrace, plan_dot
-    from repro.sim.baselines import ARCH_STITCH, AppEvaluator
-    from repro.workloads.apps import APP_FACTORIES
+    from repro.sim.baselines import ARCH_STITCH
 
-    evaluator = AppEvaluator(APP_FACTORIES[name](seed=args.seed))
-    trace = StitchTrace(name)
-    plan = evaluator.plan(ARCH_STITCH, trace=trace)
+    trace = StitchTrace(target.name)
+    plan = target.evaluator.plan(ARCH_STITCH, trace=trace)
     if args.json:
         payload = trace.to_dict()
         payload["plan"] = {
@@ -603,19 +557,11 @@ def _explain_app(name, args):
 
 
 def cmd_explain(args):
-    from repro.workloads import KERNEL_FACTORIES
-    from repro.workloads.apps import APP_FACTORIES
-
-    target = args.target
-    if target in KERNEL_FACTORIES:
-        _explain_kernel(target, args)
-    elif target.upper() in APP_FACTORIES:
-        _explain_app(target.upper(), args)
+    target = _resolve(args.target, args.seed)
+    if target.is_app:
+        _explain_app(target, args)
     else:
-        sys.exit(
-            f"unknown explain target {target!r}: not a kernel "
-            f"({sorted(KERNEL_FACTORIES)}) or app ({sorted(APP_FACTORIES)})"
-        )
+        _explain_kernel(target, args)
 
 
 def cmd_bench(args):
@@ -746,7 +692,9 @@ def cmd_chaos(args):
     from repro.sweep.runner import run_sweep
     from repro.verify import check_campaign
 
-    targets = args.targets or ["fir", "fft", "2dconv", "APP1"]
+    # Canonical names (app1 -> APP1); a bad name fails before any point.
+    targets = [_resolve(name, seed=1).name
+               for name in args.targets or ["fir", "fft", "2dconv", "APP1"]]
     recovery = "none" if args.no_recovery else "full"
     sites = args.sites.split(",") if args.sites else None
     if args.plan:

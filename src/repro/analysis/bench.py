@@ -95,11 +95,11 @@ def _bench_one_app(name, seed):
     """One Fig. 12 row; top-level so a process pool can run it."""
     import time
 
-    from repro.sim.baselines import ARCHITECTURES, ARCH_STITCH, AppEvaluator
-    from repro.workloads.apps import APP_FACTORIES
+    from repro.sim.baselines import ARCHITECTURES, ARCH_STITCH
+    from repro.target import Target
 
     start = time.perf_counter()
-    evaluator = AppEvaluator(APP_FACTORIES[name](seed=seed))
+    evaluator = Target.resolve(name, seed=seed).evaluator
     throughputs = evaluator.normalized_throughputs()
     trace = StitchTrace(name)
     plan = evaluator.plan(ARCH_STITCH, trace=trace)

@@ -19,7 +19,6 @@ interpreter" claim, re-proven on every run.
 """
 
 import statistics
-import time
 
 SCHEMA_VERSION = 1
 
@@ -39,47 +38,16 @@ MIN_FAST_SPEEDUP = 2.0
 DEFAULT_TOLERANCE = 0.10
 
 
-def _measure_kernel(name, engine, repeats, seed):
-    from repro.cpu.core import Core
-    from repro.mem.hierarchy import MemorySystem
-    from repro.workloads import make_kernel
+def _measure(name, engine, repeats, seed, items):
+    """Simulated instructions and median simulation-loop host seconds."""
+    from repro.target import Target
 
+    target = Target.resolve(name, seed=seed)
     times = []
-    instructions = None
     for _ in range(repeats):
-        kernel = make_kernel(name, seed=seed)
-        core = Core(kernel.program, MemorySystem.stitch(), engine=engine)
-        kernel.setup(core)
-        start = time.perf_counter()
-        outcome = core.run(max_instructions=20_000_000)
-        times.append(time.perf_counter() - start)
-        if outcome.reason != "halt":
-            raise RuntimeError(
-                f"kernel {name!r} did not halt ({outcome.reason})"
-            )
-        instructions = core.instret
-    return instructions, statistics.median(times)
-
-
-def _measure_app(name, engine, repeats, seed, items):
-    from repro.sim.baselines import ARCH_STITCH, AppEvaluator
-    from repro.workloads.apps import APP_FACTORIES
-
-    evaluator = AppEvaluator(APP_FACTORIES[name](seed=seed))
-    evaluator.cycle_tables()  # compile once, outside the timed region
-    times = []
-    instructions = None
-    for _ in range(repeats):
-        system, _ = evaluator.build_system(
-            ARCH_STITCH, items=items, engine=engine
-        )
-        start = time.perf_counter()
-        results = system.run()
-        times.append(time.perf_counter() - start)
-        if not all(r.halted for r in results):
-            raise RuntimeError(f"app {name!r} did not run to completion")
-        instructions = sum(r.instructions for r in results)
-    return instructions, statistics.median(times)
+        run = target.run(items=items, engine=engine)
+        times.append(run.host_seconds)
+    return sum(core.instret for core in run.cores), statistics.median(times)
 
 
 def bench_host(kernels=HOST_KERNELS, app=HOST_APP, repeats=3, seed=1,
@@ -93,20 +61,11 @@ def bench_host(kernels=HOST_KERNELS, app=HOST_APP, repeats=3, seed=1,
     """
     targets = {}
     totals = {engine: [0, 0.0] for engine in engines}  # instr, seconds
-    jobs = [(name, "kernel") for name in kernels]
-    if app:
-        jobs.append((app, "app"))
-    for name, kind in jobs:
+    for name in tuple(kernels) + ((app,) if app else ()):
         row = {}
         for engine in engines:
-            if kind == "kernel":
-                instructions, seconds = _measure_kernel(
-                    name, engine, repeats, seed
-                )
-            else:
-                instructions, seconds = _measure_app(
-                    name, engine, repeats, seed, items
-                )
+            instructions, seconds = _measure(name, engine, repeats, seed,
+                                             items)
             if row.get("instructions", instructions) != instructions:
                 raise RuntimeError(
                     f"{name!r}: engines disagree on instruction count "

@@ -31,7 +31,8 @@ Workload dict (the ``"chaos"`` sweep kind)::
      "sites": [...], "engine": "auto", "plan": {...explicit...}}
 
 ``target`` names a Figure-11 kernel (single-tile run, core-site faults)
-or one of APP1-4 (16-tile stitched co-simulation, every fault site).
+or one of APP1-4 (16-tile stitched co-simulation, every fault site),
+resolved through :meth:`repro.target.Target.resolve`.
 """
 
 import json
@@ -46,6 +47,7 @@ from repro.chaos.plan import (
     random_plan,
 )
 from repro.platform import DEFAULT_PLATFORM, PlatformConfig
+from repro.target import NoHaltError, Target
 
 OUTCOMES = ("masked", "detected_recovered", "detected_failed", "sdc")
 
@@ -85,112 +87,64 @@ def classify(events, loud, matches):
     return "detected_failed" if detected else "sdc"
 
 
-# -- kernel points -----------------------------------------------------------
+# -- points ------------------------------------------------------------------
 
 
-def _kernel_run(config, name, engine, injector):
-    from repro.cpu.core import Core
-    from repro.mem.hierarchy import MemorySystem
-    from repro.workloads import make_kernel
+def _site_space(target):
+    """Where ``target`` can take a fault: ``_point_plan`` keywords.
 
-    kernel = make_kernel(name, seed=1)
-    memory = MemorySystem(config.mem)
-    core = Core(kernel.program, memory, params=config.core, engine=engine,
-                injector=injector)
-    kernel.setup(core)
-    outcome = core.run(max_instructions=20_000_000)
-    return kernel.result(core), outcome, core
+    A kernel runs on one bare tile, so only core-local sites apply; an
+    app adds its fused ``(tile, cfg)`` sites and live channel pairs.
+    """
+    if not target.is_app:
+        return {"sites": CORE_SITES, "tiles": 1}
+    from repro.chaos.recovery import app_channels, fused_sites
+    from repro.sim.baselines import ARCH_STITCH
 
-
-def _kernel_point(config, workload):
-    from repro.cpu.core import STOP_HALT
-
-    name = workload["target"]
-    engine = workload.get("engine", "auto")
-    golden, outcome, core = _kernel_run(config, name, engine, None)
-    if outcome.reason != STOP_HALT:
-        raise RuntimeError(
-            f"golden run of kernel {name!r} did not halt ({outcome.reason})"
-        )
-    plan = _point_plan(
-        workload, sites=CORE_SITES, tiles=1, max_cycle=max(core.cycles, 1),
-        spm_base=config.mem.spm_base, spm_bytes=config.mem.spm_bytes,
-        dram_words=min(config.mem.dram_size_bytes // 4, 4096),
-    )
-    injector = Injector(plan)
-    loud = None
-    result = None
-    try:
-        result, outcome, _ = _kernel_run(config, name, engine, injector)
-        if outcome.reason != STOP_HALT:
-            loud = f"NoHalt: kernel stopped with reason {outcome.reason!r}"
-    except Exception as exc:  # loud failure: trap, stall, budget, ...
-        loud = f"{type(exc).__name__}: {exc}"
-    matches = result == golden
-    return _metrics(workload, plan, injector, loud, matches,
-                    golden_cycles=core.cycles,
-                    golden_checksum=_checksum(golden),
-                    output_checksum=_checksum(result) if loud is None
-                    else None)
-
-
-# -- application points ------------------------------------------------------
-
-
-def _app_outputs(system, plan, app):
+    evaluator = target.evaluator
     return {
-        stage.id: stage.kernel.result(system.cores[plan.tile_of(stage.id)])
-        for stage in app.stages
+        "sites": SITES,
+        "tiles": evaluator.placement.mesh.num_tiles,
+        "cix_sites": fused_sites(evaluator, ARCH_STITCH),
+        "channels": app_channels(evaluator, ARCH_STITCH),
     }
 
 
-def _app_point(config, workload):
-    from repro.chaos.recovery import app_channels, fused_sites, remap_plan
-    from repro.provenance import StitchTrace
-    from repro.sim.baselines import ARCH_STITCH, AppEvaluator
-    from repro.workloads.apps import APP_FACTORIES
-
-    target = workload["target"]
-    app = APP_FACTORIES[target]()
-    evaluator = AppEvaluator(app, platform=config)
-    items = workload.get("items", APP_ITEMS)
-
-    golden_system, stitch = evaluator.build_system(ARCH_STITCH, items=items)
-    golden_results = golden_system.run()
-    golden = _app_outputs(golden_system, stitch, app)
-    golden_makespan = golden_system.makespan(golden_results)
-
+def _chaos_point(target, workload):
+    """One golden and one injected run of ``target``, classified."""
+    config = target.platform
+    run_kwargs = {"items": workload.get("items", APP_ITEMS),
+                  "engine": workload.get("engine", "auto")}
+    golden_run = target.run(**run_kwargs)
+    golden = golden_run.outputs()
     plan = _point_plan(
-        workload, sites=SITES, tiles=evaluator.placement.mesh.num_tiles,
-        max_cycle=max(golden_makespan, 1),
+        workload, max_cycle=max(golden_run.cycles, 1),
         spm_base=config.mem.spm_base, spm_bytes=config.mem.spm_bytes,
         dram_words=min(config.mem.dram_size_bytes // 4, 4096),
-        cix_sites=fused_sites(evaluator, ARCH_STITCH),
-        channels=app_channels(evaluator, ARCH_STITCH),
+        **_site_space(target),
     )
     injector = Injector(plan)
     loud = None
     remapped = None
     outputs = None
     try:
-        system, splan = evaluator.build_system(ARCH_STITCH, items=items,
-                                               injector=injector)
-        system.run()
-        outputs = _app_outputs(system, splan, app)
+        outputs = target.run(injector=injector, **run_kwargs).outputs()
+    except NoHaltError as exc:
+        loud = f"NoHalt: kernel stopped with reason {exc.reason!r}"
     except CixStallError as exc:
         if plan.recovery.remap:
             # Graceful degradation: exclude the failed option and
             # materialize the best surviving stitch (the alternatives
             # the StitchTrace records).
-            trace = StitchTrace(f"{target}/remap")
+            from repro.chaos.recovery import remap_plan
+            from repro.provenance import StitchTrace
+            from repro.sim.baselines import ARCH_STITCH
+
+            trace = StitchTrace(f"{target.name}/remap")
             try:
-                degraded, excluded = remap_plan(evaluator, exc.tile,
+                degraded, excluded = remap_plan(target.evaluator, exc.tile,
                                                 ARCH_STITCH, trace=trace)
-                system, splan = evaluator.build_system(
-                    ARCH_STITCH, items=items, plan=degraded,
-                )
-                system.run()
-                outputs = _app_outputs(system, splan, app)
+                outputs = target.run(plan=degraded, **run_kwargs).outputs()
                 remapped = {
                     "excluded": excluded,
                     "bottleneck_cycles": degraded.bottleneck_cycles(),
@@ -205,7 +159,7 @@ def _app_point(config, workload):
         loud = f"{type(exc).__name__}: {exc}"
     matches = outputs == golden
     return _metrics(workload, plan, injector, loud, matches,
-                    golden_cycles=golden_makespan,
+                    golden_cycles=golden_run.cycles,
                     golden_checksum=_checksum(golden),
                     output_checksum=_checksum(outputs) if loud is None
                     else None,
@@ -267,18 +221,8 @@ def run_chaos_point(config, workload):
     runs happen in-process, so parallel fan-out stays deterministic.
     Returns ``(metrics, stats)`` like every other workload kind.
     """
-    from repro.workloads.apps import APP_FACTORIES
-    from repro.workloads.suite import KERNEL_FACTORIES
-
-    target = workload.get("target")
-    if target in APP_FACTORIES:
-        return _app_point(config, workload), None
-    if target in KERNEL_FACTORIES:
-        return _kernel_point(config, workload), None
-    raise ValueError(
-        f"unknown chaos target {target!r} (kernels: "
-        f"{sorted(KERNEL_FACTORIES)}; apps: {sorted(APP_FACTORIES)})"
-    )
+    target = Target.resolve(workload.get("target"), platform=config)
+    return _chaos_point(target, workload), None
 
 
 # -- campaigns ---------------------------------------------------------------
@@ -295,7 +239,7 @@ def campaign_points(targets, faults, seed, recovery="full", config=None,
     config = config if config is not None else DEFAULT_PLATFORM
     if isinstance(config, dict):
         config = PlatformConfig.from_dict(config)
-    targets = list(targets)
+    targets = [Target.resolve(name).name for name in targets]
     if not targets:
         raise ValueError("campaign needs at least one target")
     config_dict = config.to_dict()

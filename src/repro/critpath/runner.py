@@ -1,4 +1,4 @@
-"""Harness entries: record kernels, apps and ad-hoc systems.
+"""Harness entries: record a kernel-or-app target or an ad-hoc system.
 
 Kept out of :mod:`repro.critpath`'s package namespace on purpose — it
 imports the simulator stack (workloads, the co-simulator, platform
@@ -67,105 +67,45 @@ def recording_telemetry(platform=None):
     return telemetry, recorder
 
 
-def record_kernel(name, seed=1, platform=None, max_instructions=5_000_000):
-    """Record one kernel's baseline program on a bare tile."""
-    from repro.cpu.core import Core, STOP_HALT
-    from repro.mem.hierarchy import MemorySystem
-    from repro.platform import PlatformConfig
-    from repro.workloads import make_kernel
-
-    platform = platform if platform is not None else PlatformConfig.stitch()
-    recorder = DependencyRecorder(platform)
-    kernel = make_kernel(name, seed=seed)
-    core = Core(kernel.program, MemorySystem(platform.mem),
-                params=platform.core, recorder=recorder)
-    if kernel.setup is not None:
-        kernel.setup(core)
-    outcome = core.run(max_instructions=max_instructions)
-    if outcome.reason != STOP_HALT:
-        raise RuntimeError(
-            f"kernel {name!r} did not halt within {max_instructions} "
-            f"instructions (reason: {outcome.reason})"
-        )
-    recorder.tile_done(0, core.cycles, outcome.reason,
-                       core._recorder_counters())
-    recorder.finish("complete")
-    graph = DependencyGraph.from_recorder(recorder)
-    return RecordedRun(name, graph, core.cycles, platform=platform)
-
-
-def record_app(name, seed=1, items=2, platform=None):
-    """Record an application's 16-tile Stitch co-simulation.
+def record(target, items=2):
+    """Record a resolved :class:`~repro.target.Target` (kernel or app).
 
     Deadlocks and exhausted round budgets come back as a *partial*
     :class:`RecordedRun` (``error`` set, frontier in the analysis)
     instead of propagating.
     """
-    from repro.sim.baselines import ARCH_STITCH, AppEvaluator
-    from repro.sim.system import DeadlockError, RoundBudgetError
-    from repro.workloads.apps import APP_FACTORIES
+    telemetry, recorder = recording_telemetry(target.platform)
 
-    factory = APP_FACTORIES.get(name.upper())
-    if factory is None:
-        raise KeyError(
-            f"unknown app {name!r}; choose from {sorted(APP_FACTORIES)}"
-        )
-    evaluator = AppEvaluator(factory(seed=seed), platform=platform)
-    telemetry, recorder = recording_telemetry(
-        platform if platform is not None else _default_platform()
-    )
-    system, _plan = evaluator.build_system(
-        ARCH_STITCH, items=items, telemetry=telemetry
-    )
-    return _run_recorded(name.upper(), system, recorder,
-                         platform=platform, errors=(DeadlockError,
-                                                    RoundBudgetError))
+    def execute():
+        run = target.run(items=items, telemetry=telemetry)
+        return run.cycles, run.results
+
+    return _recorded(target.name, recorder, target.platform, execute)
 
 
 def record_system(target, system, recorder, **run_kwargs):
     """Record an already-loaded :class:`StitchSystem` (test harness)."""
+
+    def execute():
+        results = system.run(**run_kwargs)
+        return max((result.cycles for result in results), default=0), results
+
+    return _recorded(target, recorder, system.platform, execute)
+
+
+def _recorded(name, recorder, platform, execute):
     from repro.sim.system import DeadlockError, RoundBudgetError
 
-    return _run_recorded(target, system, recorder,
-                         platform=system.platform,
-                         errors=(DeadlockError, RoundBudgetError),
-                         **run_kwargs)
-
-
-def _default_platform():
-    from repro.platform import DEFAULT_PLATFORM
-
-    return DEFAULT_PLATFORM
-
-
-def _run_recorded(target, system, recorder, platform=None, errors=(),
-                  **run_kwargs):
     try:
-        results = system.run(**run_kwargs)
-    except errors as exc:
-        # system.run already finalized the partial graph on the recorder.
+        measured, results = execute()
+    except (DeadlockError, RoundBudgetError) as exc:
+        # The run already finalized the partial graph on the recorder.
         graph = DependencyGraph.from_recorder(recorder)
-        return RecordedRun(target, graph, graph.makespan, error=exc,
+        return RecordedRun(name, graph, graph.makespan, error=exc,
                            platform=platform)
-    measured = max((result.cycles for result in results), default=0)
     graph = DependencyGraph.from_recorder(recorder)
-    return RecordedRun(target, graph, measured, results=results,
+    return RecordedRun(name, graph, measured, results=results,
                        platform=platform)
-
-
-def record_target(target, seed=1, items=2, platform=None):
-    """Record a kernel or APPn by name (the CLI's dispatcher)."""
-    from repro.workloads import KERNEL_FACTORIES
-    from repro.workloads.apps import APP_FACTORIES
-
-    if target in KERNEL_FACTORIES:
-        return record_kernel(target, seed=seed, platform=platform)
-    if target.upper() in APP_FACTORIES:
-        return record_app(target, seed=seed, items=items, platform=platform)
-    raise KeyError(
-        f"unknown critpath target {target!r}: not a kernel "
-        f"({sorted(KERNEL_FACTORIES)}) or app ({sorted(APP_FACTORIES)})"
-    )
 
 
 def validate_whatif(run, expressions, seed=1, items=2):
@@ -176,6 +116,7 @@ def validate_whatif(run, expressions, seed=1, items=2):
     that means a single ``dram_latency`` clause.
     """
     from repro.critpath.whatif import WhatIfError
+    from repro.target import Target
 
     spec = WhatIfSpec.parse(expressions)
     unsupported = [
@@ -189,13 +130,13 @@ def validate_whatif(run, expressions, seed=1, items=2):
             f"{list(expressions)}"
         )
     projection = replay(run.graph, spec)
-    base = run.platform if run.platform is not None else _default_platform()
+    base = run.platform
     base_latency = base.mem.dram_latency
     op, value = spec.dram
     new_latency = int(round(value * base_latency if op == "*" else value))
     derived = base.derive(mem={"dram_latency": new_latency})
-    rerun = record_target(run.target, seed=seed, items=items,
-                          platform=derived)
+    rerun = record(Target.resolve(run.target, seed=seed, platform=derived),
+                   items=items)
     actual = rerun.measured
     projected = projection["projected_cycles"]
     drift = (projected - actual) / actual if actual else 0.0

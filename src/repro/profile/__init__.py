@@ -9,8 +9,7 @@ from repro.profile.profiler import (
     BlockProfile,
     CycleProfile,
     LoopProfile,
-    profile_app_cycles,
-    profile_kernel_cycles,
+    profile_target,
 )
 from repro.profile.report import (
     render_annotated,
@@ -22,8 +21,7 @@ __all__ = [
     "BlockProfile",
     "CycleProfile",
     "LoopProfile",
-    "profile_app_cycles",
-    "profile_kernel_cycles",
+    "profile_target",
     "render_annotated",
     "render_folded",
     "render_summary",

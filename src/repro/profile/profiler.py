@@ -9,9 +9,8 @@ program's basic blocks and (via the abstract interpreter's CFG) its
 natural loops, giving per-block and per-loop self/total cycle counts,
 flamegraph folded stacks, and annotated disassembly.
 
-``profile_kernel_cycles`` / ``profile_app_cycles`` are the harness
-entries ``repro profile`` uses: one bare tile for a kernel, the 16-tile
-co-simulation for an application.
+``profile_target`` is the harness entry ``repro profile`` uses: one
+bare tile for a kernel, the 16-tile co-simulation for an application.
 """
 
 from repro.verify.absint.cfg import CFG, targets_valid
@@ -216,53 +215,16 @@ class CycleProfile:
         }
 
 
-def profile_kernel_cycles(name, seed=1, max_instructions=5_000_000):
-    """Profile one kernel's baseline program on a bare tile.
+def profile_target(target, items=2):
+    """Profile every tile of one run of a :class:`~repro.target.Target`.
 
-    Returns ``(profile, core)`` — the core is kept so callers can
-    cross-check against its attribution counters.
+    Returns ``(profiles, run)`` — ``profiles`` maps tile id to its
+    :class:`CycleProfile`; ``run`` is the
+    :class:`~repro.target.TargetRun`, kept so callers can cross-check
+    against its cores' attribution counters and, for an app, the
+    co-simulator's :class:`~repro.sim.system.RunResults` roll-up (what
+    the V900 check reconciles against).
     """
-    from repro.cpu.core import Core, STOP_HALT
-    from repro.mem.hierarchy import MemorySystem
-    from repro.workloads import make_kernel
-
-    kernel = make_kernel(name, seed=seed)
-    core = Core(kernel.program, MemorySystem.stitch(), profile_cycles=True)
-    if kernel.setup is not None:
-        kernel.setup(core)
-    outcome = core.run(max_instructions=max_instructions)
-    if outcome.reason != STOP_HALT:
-        raise RuntimeError(
-            f"kernel {name!r} did not halt within {max_instructions} "
-            f"instructions (reason: {outcome.reason})"
-        )
-    return CycleProfile.from_core(core), core
-
-
-def profile_app_cycles(app_name, seed=1, items=2, telemetry=None):
-    """Profile every tile of an application's Stitch co-simulation.
-
-    Returns ``(profiles, results)`` — ``profiles`` maps tile id to its
-    :class:`CycleProfile`, ``results`` is the co-simulator's
-    :class:`~repro.sim.system.RunResults` (whose ``stats`` roll-up the
-    V900 check reconciles against).
-    """
-    from repro.sim.baselines import ARCH_STITCH, AppEvaluator
-    from repro.workloads.apps import APP_FACTORIES
-
-    factory = APP_FACTORIES.get(app_name.upper())
-    if factory is None:
-        raise KeyError(
-            f"unknown app {app_name!r}; choose from {sorted(APP_FACTORIES)}"
-        )
-    evaluator = AppEvaluator(factory(seed=seed))
-    system, _plan = evaluator.build_system(
-        ARCH_STITCH, items=items, telemetry=telemetry, profile_cycles=True
-    )
-    results = system.run()
-    profiles = {
-        core.core_id: CycleProfile.from_core(core)
-        for core in system.cores
-        if core is not None
-    }
-    return profiles, results
+    run = target.run(items=items, profile_cycles=True)
+    profiles = {core.core_id: CycleProfile.from_core(core) for core in run.cores}
+    return profiles, run

@@ -56,7 +56,7 @@ def _hit_rate(cache):
     return round(cache.hits / total, 6) if total else None
 
 
-def _kernel_stats(core, memory):
+def _kernel_stats(core):
     """Per-point Stats registry of one kernel run (telemetry mode)."""
     from repro.telemetry import Stats
 
@@ -67,7 +67,7 @@ def _kernel_stats(core, memory):
         if bucket != "total":
             stats.add(f"kernel.attribution.{bucket}", value)
     for level in ("icache", "dcache"):
-        cache = getattr(memory, level)
+        cache = getattr(core.memory, level)
         stats.add(f"kernel.{level}.hits", cache.hits)
         stats.add(f"kernel.{level}.misses", cache.misses)
     return stats
@@ -100,41 +100,32 @@ def _critpath_metrics(recorder, measured):
 
 
 def _run_kernel(config, workload):
-    from repro.cpu.core import Core
-    from repro.mem.hierarchy import MemorySystem
-    from repro.workloads import make_kernel
+    from repro.target import Target
 
-    recorder = None
+    target = Target.resolve(workload["name"], seed=workload.get("seed", 1),
+                            platform=config)
+    if target.is_app:
+        raise ValueError(f"kernel workload names app {target.name!r}")
+    telemetry = recorder = None
     if workload.get("critpath"):
-        from repro.critpath import DependencyRecorder
+        from repro.critpath.runner import recording_telemetry
 
-        recorder = DependencyRecorder(config)
-    kernel = make_kernel(workload["name"], seed=workload.get("seed", 1))
-    memory = MemorySystem(config.mem)
-    core = Core(kernel.program, memory, params=config.core,
-                recorder=recorder,
-                engine=workload.get("engine", "auto"))
-    kernel.setup(core)
-    outcome = core.run(
-        max_instructions=workload.get("max_instructions", 20_000_000)
+        telemetry, recorder = recording_telemetry(config)
+    run = target.run(
+        telemetry=telemetry, engine=workload.get("engine", "auto"),
+        max_instructions=workload.get("max_instructions", 20_000_000),
     )
-    if outcome.reason != "halt":
-        raise RuntimeError(
-            f"kernel {workload['name']!r} did not halt ({outcome.reason})"
-        )
+    core = run.cores[0]
     metrics = {
         "cycles": core.cycles,
         "instructions": core.instret,
-        "icache_hit_rate": _hit_rate(memory.icache),
-        "dcache_hit_rate": _hit_rate(memory.dcache),
-        "result_checksum": _checksum(kernel.result(core)),
+        "icache_hit_rate": _hit_rate(core.memory.icache),
+        "dcache_hit_rate": _hit_rate(core.memory.dcache),
+        "result_checksum": _checksum(run.outputs()),
     }
     if recorder is not None:
-        recorder.tile_done(0, core.cycles, outcome.reason,
-                           core._recorder_counters())
-        recorder.finish("complete")
         metrics["critpath"] = _critpath_metrics(recorder, core.cycles)
-    stats = _kernel_stats(core, memory) if workload.get("telemetry") else None
+    stats = _kernel_stats(core) if workload.get("telemetry") else None
     return metrics, stats
 
 

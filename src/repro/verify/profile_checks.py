@@ -55,7 +55,7 @@ def check_profile_run(profiles, results, report=None):
     """Reconcile every tile of an app profile against the run roll-up.
 
     ``profiles`` is the ``{tile: CycleProfile}`` map of
-    :func:`repro.profile.profile_app_cycles`; ``results`` the
+    :func:`repro.profile.profile_target`; ``results`` the
     :class:`~repro.sim.system.RunResults` (or a bare
     :class:`~repro.telemetry.SystemStats`) of the same run.
     """

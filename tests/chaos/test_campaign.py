@@ -55,7 +55,7 @@ class TestPoints:
         assert metrics["output_checksum"] == metrics["golden_checksum"]
 
     def test_unknown_target_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos target"):
+        with pytest.raises(ValueError, match="unknown target 'nope'"):
             run_chaos_point(DEFAULT_PLATFORM, {"kind": "chaos",
                                                "target": "nope"})
 

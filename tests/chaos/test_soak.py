@@ -23,7 +23,6 @@ from repro.chaos.campaign import (
     run_campaign,
     run_chaos_point,
 )
-from repro.cpu import STOP_HALT
 from repro.platform import DEFAULT_PLATFORM
 from repro.verify import check_campaign
 
@@ -65,14 +64,15 @@ class TestZeroFaultIdentity:
     @settings(max_examples=10, deadline=None)
     @given(kernel=st.sampled_from(["fir", "fft", "2dconv"]))
     def test_unarmed_injector_is_unobservable_across_engines(self, kernel):
-        from repro.chaos.campaign import _kernel_run
+        from repro.target import Target
 
         runs = {}
         for engine in ("reference", "instrumented", "fast"):
             injector = Injector(InjectionPlan(name="clean"))
-            result, outcome, core = _kernel_run(
-                DEFAULT_PLATFORM, kernel, engine, injector)
-            assert outcome.reason == STOP_HALT
+            run = Target.resolve(kernel, platform=DEFAULT_PLATFORM).run(
+                engine=engine, injector=injector)
+            result, (core,) = run.outputs(), run.cores
+            assert core.halted
             assert injector.events == []
             runs[engine] = (result, core.cycles, core.instret)
         assert runs["reference"] == runs["instrumented"] == runs["fast"]

@@ -10,13 +10,14 @@ from repro.critpath import (
 )
 from repro.critpath.recorder import KIND_SEND
 from repro.critpath.runner import (
-    record_kernel,
+    record,
     record_system,
     recording_telemetry,
     validate_whatif,
 )
 from repro.sim import StitchSystem
 from repro.sweep.runner import ring_programs
+from repro.target import Target
 
 
 def recorded_ring(laps=2):
@@ -149,13 +150,13 @@ class TestReplay:
 
 class TestValidation:
     def test_kernel_dram_whatif_matches_rerun_exactly(self):
-        run = record_kernel("fir")
+        run = record(Target.resolve("fir"))
         comparison = validate_whatif(run, ["dram_latency*2"])
         assert comparison["projected_cycles"] == comparison["actual_cycles"]
         assert comparison["drift"] == 0.0
         assert comparison["within_2pct"]
 
     def test_validate_rejects_non_platform_whatifs(self):
-        run = record_kernel("fir")
+        run = record(Target.resolve("fir"))
         with pytest.raises(WhatIfError, match="dram_latency"):
             validate_whatif(run, ["compute*0.5"])

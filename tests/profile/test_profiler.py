@@ -7,11 +7,12 @@ from repro.isa import assemble
 from repro.mem import MemorySystem
 from repro.profile import (
     CycleProfile,
-    profile_kernel_cycles,
+    profile_target,
     render_annotated,
     render_folded,
     render_summary,
 )
+from repro.target import Target
 
 LOOP_SOURCE = """\
     movi r1, 8
@@ -93,7 +94,8 @@ class TestFolding:
 
 class TestKernelEntry:
     def test_fft_reconciles_and_finds_the_hot_loop(self):
-        profile, core = profile_kernel_cycles("fft")
+        profiles, run = profile_target(Target.resolve("fft"))
+        (profile,), (core,) = profiles.values(), run.cores
         assert profile.reconciles()
         assert profile.total_cycles == core.cycles
         hottest = profile.loops[0]
@@ -102,7 +104,7 @@ class TestKernelEntry:
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(KeyError):
-            profile_kernel_cycles("no-such-kernel")
+            profile_target(Target.resolve("no-such-kernel"))
 
 
 class TestRendering:

@@ -11,7 +11,8 @@ compute chain and a deep cross-tile mesh.
 
 import pytest
 
-from repro.critpath.runner import record_target, validate_whatif
+from repro.critpath.runner import record, validate_whatif
+from repro.target import Target
 from repro.verify import check_critpath
 
 KERNELS = ("fir", "fft", "2dconv")
@@ -20,7 +21,7 @@ APPS = ("APP4",)
 
 @pytest.fixture(scope="module")
 def runs():
-    return {target: record_target(target)
+    return {target: record(Target.resolve(target))
             for target in KERNELS + APPS}
 
 

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cpu import ATTRIBUTION_BUCKETS, Core, STOP_HALT, STOP_LIMIT
 from repro.mem import MemorySystem
-from repro.profile import CycleProfile, profile_kernel_cycles
+from repro.profile import CycleProfile, profile_target
 from repro.sim.baselines import ARCH_STITCH, AppEvaluator
+from repro.target import Target
 from repro.telemetry import Telemetry, TimeSeries
 from repro.verify import check_profile, check_profile_run, check_timeseries
 from repro.workloads import make_kernel
@@ -35,7 +36,8 @@ def assert_reconciled(core):
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_kernel_profile_reconciles_exactly(name):
-    profile, core = profile_kernel_cycles(name, seed=3)
+    profiles, run = profile_target(Target.resolve(name, seed=3))
+    (profile,), (core,) = profiles.values(), run.cores
     assert profile.reconciles()
     assert profile.profiled_cycles() == core.cycles
     # The profiler and the attribution counters describe the same run.
