@@ -1,8 +1,9 @@
 """Telemetry overhead guard (run directly, not under pytest).
 
 The telemetry layer promises a near-zero-cost disabled path: cores,
-NoC and fabric always hold instrument objects (the null sinks), so the
-hot loops carry no conditional forests.  This script measures a fixed
+NoC and fabric fire the hooks of one ``Telemetry`` bundle, and a hook
+no enabled sink listens to is ``None``, so a disabled event costs one
+``is not None`` check and no call.  This script measures a fixed
 co-simulation workload with telemetry disabled and enabled and fails —
 exit code 1 — if either side of that promise breaks:
 

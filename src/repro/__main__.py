@@ -106,25 +106,17 @@ def cmd_run(args):
     from repro.cpu import Core
     from repro.isa import AssemblerError, assemble
     from repro.mem import MemorySystem
-    from repro.telemetry import ATTRIBUTION_BUCKETS, Telemetry, TimeSeries
+    from repro.telemetry import ATTRIBUTION_BUCKETS, NULL_TELEMETRY
 
     with open(args.file) as handle:
         try:
             program = assemble(handle.read(), name=args.file)
         except AssemblerError as exc:
             sys.exit(str(exc))
-    timeseries = TimeSeries(interval=args.interval) if args.timeseries else None
-    telemetry = (
-        Telemetry(timeseries=timeseries)
-        if (args.stats or args.trace or timeseries is not None)
-        else None
-    )
-    core = Core(
-        program, MemorySystem.stitch(), profile=True,
-        tracer=telemetry.tracer if telemetry is not None else None,
-        timeseries=timeseries,
-    )
+    telemetry = _capture(args) or NULL_TELEMETRY
+    core = Core(program, MemorySystem.stitch(), telemetry=telemetry)
     outcome = core.run(max_instructions=args.max_instructions)
+    telemetry.close_run([core], {core: outcome.reason}, "complete")
     print(f"stopped: {outcome.reason}")
     print(f"cycles: {core.cycles}  instructions: {core.instret}")
     live = {f"r{i}": v for i, v in enumerate(core.regs) if v}
@@ -143,17 +135,31 @@ def cmd_run(args):
                 f"({counts['hit_rate']:.1%} hit rate)"
             )
         print(check_core(core).render())
+    _write_captures(args, telemetry)
+
+
+def _capture(args):
+    """The telemetry ``--stats``/``--trace``/``--timeseries`` ask for,
+    or ``None`` when they ask for nothing."""
+    from repro.telemetry import Telemetry, TimeSeries
+
+    if not (args.stats or args.trace or args.timeseries):
+        return None
+    return Telemetry(timeseries=(
+        TimeSeries(interval=args.interval) if args.timeseries else None
+    ))
+
+
+def _write_captures(args, telemetry):
+    """Write the ``--trace`` / ``--timeseries`` files of a finished run."""
     if args.trace:
         telemetry.tracer.write_chrome(args.trace)
         print(
             f"chrome trace written to {args.trace} "
             f"({len(telemetry.tracer)} events)"
         )
-    if timeseries is not None:
-        from repro.power.chip import EnergyModel
-
-        core.flush_timeseries()
-        timeseries.add_energy(EnergyModel())
+    if args.timeseries:
+        timeseries = telemetry.timeseries
         timeseries.write(args.timeseries)
         print(
             f"time series written to {args.timeseries} "
@@ -175,32 +181,17 @@ def cmd_app(args):
         print(f"  {arch:18s} {throughputs[arch]:.2f}x")
     plan = evaluator.plan(ARCH_STITCH)
     print(plan.describe())
-    if args.stats or args.trace or args.timeseries:
-        from repro.telemetry import Telemetry, TimeSeries
+    telemetry = _capture(args)
+    if telemetry is not None:
         from repro.verify import check_run
 
-        timeseries = (
-            TimeSeries(interval=args.interval) if args.timeseries else None
-        )
-        telemetry = Telemetry(timeseries=timeseries)
         run = target.run(items=args.items, telemetry=telemetry)
         print(f"co-simulated {evaluator.app.name} on {ARCH_STITCH}: "
               f"makespan {run.cycles} cycles")
         if args.stats:
             print(run.results.stats.render())
             print(check_run(run.results).render())
-        if args.trace:
-            telemetry.tracer.write_chrome(args.trace)
-            print(
-                f"chrome trace written to {args.trace} "
-                f"({len(telemetry.tracer)} events)"
-            )
-        if timeseries is not None:
-            timeseries.write(args.timeseries)
-            print(
-                f"time series written to {args.timeseries} "
-                f"({len(timeseries)} samples, interval {timeseries.interval})"
-            )
+        _write_captures(args, telemetry)
 
 
 def cmd_profile(args):

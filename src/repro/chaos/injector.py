@@ -1,10 +1,11 @@
 """The fault injector: the null-object hook surface of the chaos layer.
 
-Components hold the shared :data:`NULL_INJECTOR` when injection is off,
-exactly like :data:`~repro.telemetry.NULL_TRACER`: the disabled path
-costs at most one attribute check per call site, and the core hot loops
-pay a single ``cycles >= _inj_next`` comparison pinned at ``+inf``
-(the interval-sampling trick of :class:`repro.telemetry.TimeSeries`).
+Components hold the shared :data:`NULL_INJECTOR` when injection is off
+(it stays apart from the :class:`~repro.telemetry.Telemetry` bundle
+because it mutates simulated state): the disabled path costs at most
+one attribute check per call site, and the core hot loops pay a single
+``cycles >= _inj_next`` comparison pinned at ``+inf`` (the
+interval-sampling trick of :class:`repro.telemetry.TimeSeries`).
 Arming the injector forces a core's fast engine to fall back to the
 instrumented loop transparently — the fast loop carries no hooks and
 stays untouched, so the clean path keeps its speed.
@@ -14,10 +15,11 @@ Every consequence of an armed injector is logged as one event dict::
     {"kind": "fault"|"detect"|"recover", "site": ..., "tile": ...,
      "cycle": ..., ...detail..., ["cycles_cost": N]}
 
-and mirrored into telemetry (Stats counters under ``chaos.*``, typed
-Tracer instants, a ``chaos_event`` on the critpath recorder) so a
-campaign is attributable end to end.  Rules V1100-V1103 reconcile the
-event log against the plan and the run outcome.
+and mirrored into telemetry through the bundle's one ``chaos_event``
+hook (Stats counters under ``chaos.*``, typed Tracer instants, a
+``chaos_event`` on the critpath recorder) so a campaign is attributable
+end to end.  Rules V1100-V1103 reconcile the event log against the
+plan and the run outcome.
 """
 
 import math
@@ -83,9 +85,7 @@ class Injector:
         self.plan = plan.validate()
         self.recovery = plan.recovery
         telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._stats = telemetry.stats
-        self._tracer = telemetry.tracer
-        self._recorder = telemetry.recorder
+        self._chaos_event = telemetry.chaos_event
         self.events = []
         self.recovery_cycles = 0
         # site "cix": {tile: frozenset(cfg ids)}
@@ -126,18 +126,8 @@ class Injector:
         event = {"kind": kind, "site": site, "tile": tile, "cycle": cycle}
         event.update(detail)
         self.events.append(event)
-        if self._stats.enabled:
-            self._stats.add(f"chaos.{kind}")
-            self._stats.add(f"chaos.{kind}.{site}")
-        if self._tracer.enabled:
-            if kind == "fault":
-                self._tracer.fault(tile, site, cycle, **detail)
-            elif kind == "detect":
-                self._tracer.fault_detected(tile, site, cycle, **detail)
-            else:
-                self._tracer.fault_recovered(tile, site, cycle, **detail)
-        if self._recorder.enabled:
-            self._recorder.chaos_event(tile, kind, site, cycle)
+        if self._chaos_event is not None:
+            self._chaos_event(tile, kind, site, cycle, detail)
         return event
 
     def log_detect(self, site, tile, cycle, **detail):

@@ -106,8 +106,9 @@ def profile_kernel(program, setup=None, memory=None, max_instructions=5_000_000)
     counts = core.block_instruction_counts()
     total = sum(counts.values()) or 1
     weights = {index: count / total for index, count in counts.items() if count}
+    block_counts = core.block_counts
     entries = {
-        block.index: core.block_counts[block.start]
+        block.index: block_counts[block.start]
         for block in program.basic_blocks()
     }
     spm_only = {

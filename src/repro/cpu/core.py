@@ -14,12 +14,17 @@ Timing model (validated against the paper's counts in Figure 4):
   ``recv`` blocks (without retiring) until data is available.
 
 Execution is pluggable (``engine=`` on :class:`Core`): ``auto`` selects
-the pre-decoded fast loop of :mod:`repro.cpu.engine` when every
-observability channel is disabled and the instrumented dispatch loop
-otherwise; ``reference`` forces the retained original interpreter below
-(:meth:`Core._run_reference`), the oracle the differential tests hold
-both engines to.  All three produce identical architectural state,
+the pre-decoded fast loop of :mod:`repro.cpu.engine` when nothing
+observes the core (:attr:`Core.observed`) and the instrumented dispatch
+loop otherwise; ``reference`` forces the retained original interpreter
+below (:meth:`Core._run_reference`), the oracle the differential tests
+hold both engines to.  All three produce identical architectural state,
 cycles, stall attribution and cache/SPM counters.
+
+Observers attach through one :class:`~repro.telemetry.Telemetry`
+bundle (``telemetry=``) whose per-event hooks the loops fire.
+``profile=True`` (the compiler's block/region profile) and
+``profile_cycles=True`` both turn on the per-PC histogram.
 """
 
 import math
@@ -32,11 +37,9 @@ from repro.isa.instructions import (
     wrap32,
 )
 from repro.chaos.injector import NULL_INJECTOR
-from repro.critpath.recorder import NULL_RECORDER
 from repro.platform import DEFAULT_PLATFORM
+from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.rollup import ATTRIBUTION_BUCKETS  # noqa: F401 (re-export)
-from repro.telemetry.timeseries import NULL_TIMESERIES
-from repro.telemetry.trace import NULL_TRACER
 
 STOP_HALT = "halt"
 STOP_LIMIT = "limit"
@@ -147,9 +150,7 @@ class Core:
         taken_branch_penalty=None,
         profile=False,
         profile_cycles=False,
-        tracer=None,
-        timeseries=None,
-        recorder=None,
+        telemetry=None,
         params=None,
         engine="auto",
         injector=None,
@@ -177,11 +178,7 @@ class Core:
             else params.taken_branch_penalty
         )
         self.profile = profile
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.timeseries = (
-            timeseries if timeseries is not None else NULL_TIMESERIES
-        )
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.injector = injector if injector is not None else NULL_INJECTOR
         #: Set by an armed injector's ``freeze`` fault: the core stops
         #: retiring and its run() returns ``STOP_FROZEN`` forever.
@@ -190,7 +187,7 @@ class Core:
         # pc -> [cycles, retired]; every simulated cycle lands on exactly
         # one pc, so sum(cycles) == self.cycles at instruction boundaries
         # (the profiler-side twin of the attribution invariant).
-        self.pc_profile = {} if profile_cycles else None
+        self.pc_profile = {} if profile or profile_cycles else None
 
         self.regs = [0] * params.num_regs
         self.pc = 0
@@ -209,25 +206,17 @@ class Core:
         self.stall_comm = 0
         self.cix_retired = 0
 
-        self.block_counts = {}
         self.spm_only_accesses = {}  # program index -> all addresses in SPM
         self.mem_ranges = {}         # program index -> [min addr, max addr]
-        self._is_leader = None
-        if profile:
-            leaders = [False] * len(program)
-            for block in program.basic_blocks():
-                leaders[block.start] = True
-                self.block_counts[block.start] = 0
-            self._is_leader = leaders
 
         self.cfg_table = getattr(program, "cfg_table", None)
 
         # Interval sampling: the hot loop compares cycles against the
         # next interval boundary; disabled collectors pin it at +inf so
         # the disabled path costs exactly one comparison.
-        if self.timeseries.enabled:
+        if self.telemetry.tile_sample is not None:
             self._ts_snap = self._timeseries_counters()
-            self._ts_next = self.timeseries.interval
+            self._ts_next = self.telemetry.timeseries.interval
         else:
             self._ts_snap = None
             self._ts_next = math.inf
@@ -251,15 +240,15 @@ class Core:
 
     def run(self, max_instructions=None, max_cycles=None):
         """Run until halt, a blocking receive, or a limit; resumable."""
-        tracer = self.tracer
-        if not tracer.enabled:
+        tile_span = self.telemetry.tile_span
+        if tile_span is None:
             return self._dispatch(max_instructions, max_cycles)
         slice_cycles = self.cycles
         slice_instret = self.instret
         result = self._dispatch(max_instructions, max_cycles)
         retired = self.instret - slice_instret
         if retired or self.cycles > slice_cycles:
-            tracer.tile_span(
+            tile_span(
                 self.core_id, self.program.name, slice_cycles, self.cycles,
                 result.reason, retired,
             )
@@ -277,11 +266,15 @@ class Core:
             return "instrumented" if self.injector.armed else "fast"
         if self.engine != "auto":
             return self.engine
-        if (self.profile or self.profile_cycles or self.tracer.enabled
-                or self.timeseries.enabled or self.recorder.enabled
-                or self.injector.armed):
-            return "instrumented"
-        return "fast"
+        return "instrumented" if self.observed else "fast"
+
+    @property
+    def observed(self):
+        """Whether anything hooks this core's loop: the PC histogram, a
+        telemetry sink or an armed injector.  The fast loop carries no
+        hooks, so it runs only unobserved cores."""
+        return (self.pc_profile is not None or self.telemetry.observes_cores
+                or self.injector.armed)
 
     def _dispatch(self, max_instructions, max_cycles):
         from repro.cpu import engine as engine_mod
@@ -324,10 +317,13 @@ class Core:
         memory = self.memory
         fetch = memory.fetch
         profile = self.profile
-        leaders = self._is_leader
-        block_counts = self.block_counts
         penalty = self.taken_branch_penalty
-        tracer = self.tracer
+        telemetry = self.telemetry
+        cache_miss = telemetry.cache_miss
+        cix = telemetry.cix
+        comm_send = telemetry.comm_send
+        comm_recv = telemetry.comm_recv
+        comm_blocked = telemetry.comm_blocked
         pc_profile = self.pc_profile
         ts_next = self._ts_next
         inj_next = self._inj_next
@@ -350,8 +346,6 @@ class Core:
                 raise ExecutionError(self.core_id, self.program.name, pc)
             instr = program[pc]
             op = instr.op
-            if profile and leaders[pc]:
-                block_counts[pc] += 1
 
             cost = fetch(pc, instr.words) - (instr.words - 1)
             # fetch() returns hit_latency per word + miss stalls; the
@@ -359,8 +353,8 @@ class Core:
             fetch_stall = cost - 1
             if fetch_stall:
                 self.stall_icache += fetch_stall
-                if tracer.enabled:
-                    tracer.cache_miss(self.core_id, "icache", pc, self.cycles)
+                if cache_miss is not None:
+                    cache_miss(self.core_id, "icache", pc, self.cycles)
             next_pc = pc + 1
 
             if op is Op.LW:
@@ -371,9 +365,8 @@ class Core:
                 cost += mem_cycles - 1
                 if mem_cycles > 1:
                     self.stall_memory += mem_cycles - 1
-                    if tracer.enabled:
-                        tracer.cache_miss(self.core_id, "dcache", addr,
-                                          self.cycles)
+                    if cache_miss is not None:
+                        cache_miss(self.core_id, "dcache", addr, self.cycles)
                 if profile:
                     self._note_region(pc, addr)
             elif op is Op.SW:
@@ -382,9 +375,8 @@ class Core:
                 cost += mem_cycles - 1
                 if mem_cycles > 1:
                     self.stall_memory += mem_cycles - 1
-                    if tracer.enabled:
-                        tracer.cache_miss(self.core_id, "dcache", addr,
-                                          self.cycles)
+                    if cache_miss is not None:
+                        cache_miss(self.core_id, "dcache", addr, self.cycles)
                 if profile:
                     self._note_region(pc, addr)
             elif op is Op.ADD:
@@ -426,8 +418,8 @@ class Core:
                     regs[instr.rd] = instr.imm
             elif op is Op.CIX:
                 self.cix_retired += 1
-                if tracer.enabled:
-                    tracer.cix(self.core_id, instr.cfg, self.cycles)
+                if cix is not None:
+                    cix(self.core_id, instr.cfg, self.cycles)
                 outs = self._execute_cix(instr)
                 for reg, value in zip(instr.outs, outs):
                     if reg != 0:
@@ -477,11 +469,9 @@ class Core:
                 finish = self.comm.send(peer, values, start)
                 self.cycles = finish
                 self.stall_comm += finish - start - 1  # 1 = the issue slot
-                if self.recorder.enabled:
-                    self.recorder.send(self.core_id, peer, count, start,
-                                       finish, self._recorder_counters())
-                if tracer.enabled:
-                    tracer.comm_send(self.core_id, peer, count, start, finish)
+                if comm_send is not None:
+                    comm_send(self.core_id, peer, count, start, finish,
+                              self._recorder_counters())
                 if pc_profile is not None:
                     entry = pc_profile.get(pc)
                     if entry is None:
@@ -497,23 +487,17 @@ class Core:
                 count = regs[instr.rd]
                 result = self.comm.try_recv(peer, count, self.cycles)
                 if result is None:
-                    if self.recorder.enabled:
-                        self.recorder.recv_blocked(self.core_id, peer, count,
-                                                   self.cycles)
-                    if tracer.enabled:
-                        tracer.comm_blocked(self.core_id, peer, count,
-                                            self.cycles)
+                    if comm_blocked is not None:
+                        comm_blocked(self.core_id, peer, count, self.cycles)
                     return RunResult(STOP_RECV, self.cycles, self.instret)
                 values, finish = result
                 memory.load(base, values)  # NIC DMA bypasses the cache
                 start = self.cycles
                 self.cycles = finish
                 self.stall_comm += finish - start - 1  # 1 = the issue slot
-                if self.recorder.enabled:
-                    self.recorder.recv(self.core_id, peer, count, start,
-                                       finish, self._recorder_counters())
-                if tracer.enabled:
-                    tracer.comm_recv(self.core_id, peer, count, start, finish)
+                if comm_recv is not None:
+                    comm_recv(self.core_id, peer, count, start, finish,
+                              self._recorder_counters())
                 if pc_profile is not None:
                     entry = pc_profile.get(pc)
                     if entry is None:
@@ -602,8 +586,8 @@ class Core:
         Called by the interpreter at interval boundaries and by the
         harness once a run finishes.
         """
-        ts = self.timeseries
-        if not ts.enabled:
+        tile_sample = self.telemetry.tile_sample
+        if tile_sample is None:
             return
         now = self._timeseries_counters()
         snap = self._ts_snap
@@ -613,9 +597,10 @@ class Core:
             if now[field] != snap[field]
         }
         if deltas:
-            ts.tile_sample(self.core_id, snap["cycles"], deltas)
+            tile_sample(self.core_id, snap["cycles"], deltas)
         self._ts_snap = now
-        self._ts_next = (self.cycles // ts.interval + 1) * ts.interval
+        interval = self.telemetry.timeseries.interval
+        self._ts_next = (self.cycles // interval + 1) * interval
 
     def _fire_injector(self):
         """Apply due injected faults; returns the next boundary cycle."""
@@ -647,11 +632,22 @@ class Core:
 
     # -- profiling ---------------------------------------------------------------
 
-    def block_instruction_counts(self):
-        """Dynamic instruction count per basic block (requires profile=True)."""
+    @property
+    def block_counts(self):
+        """{leader pc: block entries} — the retires at each leader pc
+        (requires profile=True)."""
         if not self.profile:
             raise RuntimeError("core was created with profile=False")
-        result = {}
-        for block in self.program.basic_blocks():
-            result[block.index] = self.block_counts[block.start] * len(block)
-        return result
+        pc_profile = self.pc_profile
+        return {
+            block.start: pc_profile.get(block.start, (0, 0))[1]
+            for block in self.program.basic_blocks()
+        }
+
+    def block_instruction_counts(self):
+        """Dynamic instruction count per basic block (requires profile=True)."""
+        counts = self.block_counts
+        return {
+            block.index: counts[block.start] * len(block)
+            for block in self.program.basic_blocks()
+        }

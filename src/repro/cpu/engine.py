@@ -6,14 +6,15 @@ the architectural/timing semantics of the reference interpreter
 
 * :func:`run_instrumented` — dispatches through :data:`HANDLERS` (one
   small function per op family) and preserves the reference loop's
-  exact telemetry behaviour: tracer events, interval samples, recorder
-  hooks, the PC-cycle profiler and the block/region profile all fire at
-  the same simulated cycle with the same arguments.
-* :func:`run_fast` — selected when every observability channel is
-  disabled.  All flag checks are hoisted out of the per-instruction
-  path, architectural and timing state live in locals, dispatch is a
-  frequency-ordered ladder over dense integer kinds, and the two
-  dominant memory operations take memoized fast paths:
+  exact observable behaviour: the telemetry bundle's event hooks (one
+  ``is not None`` check per event site), interval samples, the PC
+  histogram and the region profile all fire at the same simulated
+  cycle with the same arguments.
+* :func:`run_fast` — selected when nothing observes the core
+  (``Core.observed``).  All flag checks are hoisted out of the
+  per-instruction path, architectural and timing state live in locals,
+  dispatch is a frequency-ordered ladder over dense integer kinds, and
+  the two dominant memory operations take memoized fast paths:
 
   - **resident-line fetch**: when the program's code footprint fits the
     I-cache outright (``DecodedProgram.resident_ok``), a per-PC flag
@@ -96,9 +97,9 @@ _WRAP32 = 0x100000000
 #
 # One small function per op family, ``handler(core, ex, regs) -> extra
 # cycles beyond the fetch cost``.  Control flow, halt and the comm pair
-# are not in the table: they steer the loop (next pc, retire-without-
-# regs[0]-reset), so the instrumented loop keeps them inline, exactly
-# like the reference interpreter.
+# are not in the table: they steer the loop (next pc, the comm port's
+# finish time, a blocking receive's early return), so the instrumented
+# loop keeps them inline, like the reference interpreter.
 
 def _h_addi(core, ex, regs):
     if ex.rd != 0:
@@ -114,8 +115,8 @@ def _h_lw(core, ex, regs):
     extra = mem_cycles - 1
     if extra > 0:
         core.stall_memory += extra
-        if core.tracer.enabled:
-            core.tracer.cache_miss(core.core_id, "dcache", addr, core.cycles)
+        if core.telemetry.cache_miss is not None:
+            core.telemetry.cache_miss(core.core_id, "dcache", addr, core.cycles)
     if core.profile:
         core._note_region(ex.pc, addr)
     return extra
@@ -133,8 +134,8 @@ def _h_sw(core, ex, regs):
     extra = mem_cycles - 1
     if extra > 0:
         core.stall_memory += extra
-        if core.tracer.enabled:
-            core.tracer.cache_miss(core.core_id, "dcache", addr, core.cycles)
+        if core.telemetry.cache_miss is not None:
+            core.telemetry.cache_miss(core.core_id, "dcache", addr, core.cycles)
     if core.profile:
         core._note_region(ex.pc, addr)
     return extra
@@ -142,8 +143,8 @@ def _h_sw(core, ex, regs):
 
 def _h_cix(core, ex, regs):
     core.cix_retired += 1
-    if core.tracer.enabled:
-        core.tracer.cix(core.core_id, ex.cfg, core.cycles)
+    if core.telemetry.cix is not None:
+        core.telemetry.cix(core.core_id, ex.cfg, core.cycles)
     outs = core._execute_cix(ex)
     for reg, value in zip(ex.outs, outs):
         if reg != 0:
@@ -322,10 +323,12 @@ HANDLERS[K_NOP] = _h_nop
 def run_instrumented(core, max_instructions=None, max_cycles=None):
     """Pre-decoded loop with full observability (reference-exact).
 
-    Identical structure to ``Core._run_reference`` — same limit/sample
-    checks, same hook call sites, same state update order — with the
-    per-retire decode replaced by an :class:`ExecOp` slot lookup and
-    the value-op ladder by the :data:`HANDLERS` table.
+    The structure of ``Core._run_reference`` — same limit/sample
+    checks, same hook call sites and arguments — with the per-retire
+    decode replaced by an :class:`ExecOp` slot lookup, the value-op
+    ladder by the :data:`HANDLERS` table, and a completed send/recv
+    retiring through the common tail with the comm port's
+    ``finish - start`` as its cost.
     """
     decoded = core._ensure_decoded()
     ops = decoded.ops
@@ -333,11 +336,12 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
     regs = core.regs
     memory = core.memory
     fetch = memory.fetch
-    profile = core.profile
-    leaders = core._is_leader
-    block_counts = core.block_counts
     penalty = core.taken_branch_penalty
-    tracer = core.tracer
+    telemetry = core.telemetry
+    cache_miss = telemetry.cache_miss
+    comm_send = telemetry.comm_send
+    comm_recv = telemetry.comm_recv
+    comm_blocked = telemetry.comm_blocked
     pc_profile = core.pc_profile
     ts_next = core._ts_next
     inj_next = core._inj_next
@@ -362,15 +366,13 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
             raise ExecutionError(core.core_id, core.program.name, pc)
         ex = ops[pc]
         kind = ex.kind
-        if profile and leaders[pc]:
-            block_counts[pc] += 1
 
         cost = fetch(pc, ex.words) - (ex.words - 1)
         fetch_stall = cost - 1
         if fetch_stall:
             core.stall_icache += fetch_stall
-            if tracer.enabled:
-                tracer.cache_miss(core.core_id, "icache", pc, core.cycles)
+            if cache_miss is not None:
+                cache_miss(core.core_id, "icache", pc, core.cycles)
         next_pc = pc + 1
 
         if kind < FIRST_CONTROL:
@@ -416,54 +418,28 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
             values = memory.dump(base, count)  # NIC DMA bypasses the cache
             start = core.cycles
             finish = core.comm.send(peer, values, start)
-            core.cycles = finish
             core.stall_comm += finish - start - 1  # 1 = the issue slot
-            if core.recorder.enabled:
-                core.recorder.send(core.core_id, peer, count, start,
-                                   finish, core._recorder_counters())
-            if tracer.enabled:
-                tracer.comm_send(core.core_id, peer, count, start, finish)
-            if pc_profile is not None:
-                entry = pc_profile.get(pc)
-                if entry is None:
-                    entry = pc_profile[pc] = [0, 0]
-                entry[0] += finish - start
-                entry[1] += 1
-            core.pc = next_pc
-            core.instret += 1
-            continue
+            if comm_send is not None:
+                comm_send(core.core_id, peer, count, start, finish,
+                          core._recorder_counters())
+            cost = finish - start  # the comm port's timing replaces fetch
         elif kind == K_RECV:
             peer = regs[ex.ra]
             base = regs[ex.rb]
             count = regs[ex.rd]
             result = core.comm.try_recv(peer, count, core.cycles)
             if result is None:
-                if core.recorder.enabled:
-                    core.recorder.recv_blocked(core.core_id, peer, count,
-                                               core.cycles)
-                if tracer.enabled:
-                    tracer.comm_blocked(core.core_id, peer, count,
-                                        core.cycles)
+                if comm_blocked is not None:
+                    comm_blocked(core.core_id, peer, count, core.cycles)
                 return RunResult(STOP_RECV, core.cycles, core.instret)
             values, finish = result
             memory.load(base, values)  # NIC DMA bypasses the cache
             start = core.cycles
-            core.cycles = finish
             core.stall_comm += finish - start - 1  # 1 = the issue slot
-            if core.recorder.enabled:
-                core.recorder.recv(core.core_id, peer, count, start,
-                                   finish, core._recorder_counters())
-            if tracer.enabled:
-                tracer.comm_recv(core.core_id, peer, count, start, finish)
-            if pc_profile is not None:
-                entry = pc_profile.get(pc)
-                if entry is None:
-                    entry = pc_profile[pc] = [0, 0]
-                entry[0] += finish - start
-                entry[1] += 1
-            core.pc = next_pc
-            core.instret += 1
-            continue
+            if comm_recv is not None:
+                comm_recv(core.core_id, peer, count, start, finish,
+                          core._recorder_counters())
+            cost = finish - start
         else:  # pragma: no cover - all kinds handled above
             raise NotImplementedError(f"kind {kind}")
 
@@ -486,18 +462,17 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
 def run_fast(core, max_instructions=None, max_cycles=None):
     """Observability-free loop: locals, tuples, memoized memory paths.
 
-    Requires every telemetry channel disabled (``Core`` only selects it
-    then); raises ``ValueError`` if forced onto an instrumented core.
+    Requires an unobserved core (``Core.observed`` false — ``Core``
+    only selects it then); raises ``ValueError`` if forced onto an
+    observed one.
     Produces bit-identical architectural state, cycles, stall
     attribution and cache/SPM counters to the reference interpreter —
     the differential suite in ``tests/cpu`` holds it to that.
     """
-    if (core.profile or core.profile_cycles or core.tracer.enabled
-            or core.timeseries.enabled or core.recorder.enabled
-            or core.injector.armed):
+    if core.observed:
         raise ValueError(
             "engine='fast' cannot honor enabled observability "
-            "(profiler/tracer/timeseries/recorder/injector); use "
+            "(profiler/telemetry hooks/injector); use "
             "engine='auto' or 'instrumented'"
         )
     if core.halted:

@@ -3,12 +3,13 @@
 A :class:`DependencyRecorder` observes one run of the co-simulator and
 keeps, per tile, the alternating compute/communication segments in
 program order, plus the cross-tile provenance of every received word.
-The hooks are *telemetry-style*: components hold the shared
-:data:`NULL_RECORDER` when recording is off, and every warm call site
-is guarded by a single ``if recorder.enabled`` check — the interpreter
-hot loop itself carries **no** per-instruction work, because compute
-segments are reconstructed from the tile-local clock at the comm
-events that bracket them.
+The hooks are *telemetry-style*: components fire events on their
+:class:`~repro.telemetry.Telemetry` bundle, which routes them here only
+when recording is on (:data:`NULL_RECORDER` is then the bundle's
+readable, empty ``recorder``) — the interpreter hot loop itself carries
+**no** per-instruction work, because compute segments are
+reconstructed from the tile-local clock at the comm events that
+bracket them.
 
 Two half-hooks meet per communication op:
 
@@ -184,8 +185,9 @@ class DependencyRecorder:
 
     # -- fabric-side half-hooks ---------------------------------------------
 
-    def noc_crossing(self, link, crossed, flits, waited):
-        """One packet crossing one directed link (from the NoC model)."""
+    def noc_crossing(self, link, src, dst, crossed, flits, waited):
+        """One packet crossing one directed link (the NoC's
+        ``link_crossed`` event)."""
         self._crossings.append((f"{link[0]}->{link[1]}", crossed, flits,
                                 waited))
 
@@ -302,7 +304,8 @@ class DependencyRecorder:
 
 
 class NullDependencyRecorder:
-    """Disabled recorder: every hook is a no-op."""
+    """Disabled recorder: the readable, empty value of a bundle's
+    ``recorder`` when recording is off (no hook ever reaches it)."""
 
     enabled = False
     records = ()
@@ -311,13 +314,6 @@ class NullDependencyRecorder:
     blocked = {}
     meta = {}
     chaos_events = ()
-
-    def noc_crossing(self, *args, **kwargs):
-        pass
-
-    fabric_send = fabric_recv = noc_crossing
-    send = recv = recv_blocked = noc_crossing
-    tile_done = finish = chaos_event = noc_crossing
 
     def tiles(self):
         return {}

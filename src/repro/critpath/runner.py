@@ -54,17 +54,10 @@ def recording_telemetry(platform=None):
     Returns ``(telemetry, recorder)``; stats/tracing/sampling stay the
     null sinks so recording adds nothing to the instruction hot loop.
     """
-    from repro.telemetry import (
-        NULL_STATS,
-        NULL_TIMESERIES,
-        NULL_TRACER,
-        Telemetry,
-    )
+    from repro.telemetry import NULL_STATS, NULL_TRACER, Telemetry
 
     recorder = DependencyRecorder(platform)
-    telemetry = Telemetry(NULL_STATS, NULL_TRACER, NULL_TIMESERIES,
-                          recorder=recorder)
-    return telemetry, recorder
+    return Telemetry(NULL_STATS, NULL_TRACER, recorder=recorder), recorder
 
 
 def record(target, items=2):

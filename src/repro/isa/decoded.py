@@ -15,8 +15,7 @@ pair and caches the result on the ``Program`` instance:
   ``(kind, resident_cost, words, *operands)`` feeds the fast loop in
   :mod:`repro.cpu.engine` — tuple indexing is the cheapest per-retire
   access path CPython offers;
-* block-leader flags (the profiler's unit of accounting) and per-slot
-  word counts ride along as metadata;
+* per-slot word counts ride along as metadata;
 * ``resident_ok`` records whether the program's code footprint can ever
   be evicted from the I-cache (see :func:`code_fully_cacheable`), which
   is what licenses the engine's memoized resident-line fetch path.
@@ -105,15 +104,14 @@ class ExecOp:
     instruction at ``pc`` without touching the enum or re-deriving
     metadata: the dispatch ``kind``, the original :class:`Instruction`
     fields (with immediates already folded to base-op semantics), the
-    encoded word count, the block-leader flag and the fetch cost the
-    slot charges when its code lines are I-cache resident.
+    encoded word count and the fetch cost the slot charges when its
+    code lines are I-cache resident.
     """
 
     __slots__ = ("pc", "kind", "op", "rd", "ra", "rb", "imm", "target",
-                 "cfg", "outs", "ins", "words", "is_leader",
-                 "resident_cost")
+                 "cfg", "outs", "ins", "words", "resident_cost")
 
-    def __init__(self, pc, kind, instr, is_leader, resident_cost):
+    def __init__(self, pc, kind, instr, resident_cost):
         self.pc = pc
         self.kind = kind
         self.op = instr.op
@@ -129,7 +127,6 @@ class ExecOp:
         self.outs = tuple(instr.outs) if instr.outs is not None else None
         self.ins = tuple(instr.ins) if instr.ins is not None else None
         self.words = instr.words
-        self.is_leader = is_leader
         self.resident_cost = resident_cost
 
     def __repr__(self):
@@ -145,22 +142,18 @@ class DecodedProgram:
     ``code``
         parallel list of plain tuples ``(kind, resident_cost, words,
         *operands)`` — the fast loop's representation.
-    ``leaders``
-        per-PC block-leader flags from the program's basic blocks.
     ``resident_ok``
         True when the code footprint fits the I-cache outright (no
         eviction is ever possible), licensing the resident-line fetch
         memo.
     """
 
-    __slots__ = ("program", "ops", "code", "leaders", "n", "resident_ok",
-                 "key")
+    __slots__ = ("program", "ops", "code", "n", "resident_ok", "key")
 
-    def __init__(self, program, ops, code, leaders, resident_ok, key):
+    def __init__(self, program, ops, code, resident_ok, key):
         self.program = program
         self.ops = ops
         self.code = code
-        self.leaders = leaders
         self.n = len(ops)
         self.resident_ok = resident_ok
         self.key = key
@@ -230,9 +223,6 @@ def _decode(program, core_params, mem_params, key):
         # the engine always takes the real fetch path.
         hit_latency = 1
         resident_ok = False
-    leaders = [False] * len(program)
-    for block in program.basic_blocks():
-        leaders[block.start] = True
     ops = []
     for pc, instr in enumerate(program.instructions):
         kind = _OP_KIND.get(instr.op)
@@ -242,9 +232,9 @@ def _decode(program, core_params, mem_params, key):
         # fetch() charges hit_latency per word on an all-hit fetch; the
         # core folds multi-word overlap back out as cost = fetch - (w-1).
         resident_cost = words * hit_latency - (words - 1)
-        ops.append(ExecOp(pc, kind, instr, leaders[pc], resident_cost))
+        ops.append(ExecOp(pc, kind, instr, resident_cost))
     code = [_fast_tuple(ex) for ex in ops]
-    return DecodedProgram(program, ops, code, leaders, resident_ok, key)
+    return DecodedProgram(program, ops, code, resident_ok, key)
 
 
 def decode_program(program, core_params=None, mem_params=None):

@@ -12,7 +12,6 @@ where draining charges one cycle per flit of NIC-to-memory transfer.
 from repro.chaos.injector import NULL_INJECTOR
 from repro.cpu.core import CommPort
 from repro.noc.network import Network
-from repro.noc.packet import WORDS_PER_FLIT
 from repro.telemetry import NULL_TELEMETRY
 
 
@@ -69,11 +68,9 @@ class MessagePassing:
         self.num_tiles = num_tiles
         self.injector = injector if injector is not None else NULL_INJECTOR
         telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._occupancy_hist = telemetry.stats.histogram(
-            "fabric.channel_occupancy"
-        )
-        self._timeseries = telemetry.timeseries
-        self._recorder = telemetry.recorder
+        self._fabric_send = telemetry.fabric_send
+        self._fabric_recv = telemetry.fabric_recv
+        self._channel_occupancy = telemetry.channel_occupancy()
         self._channels = {}
         self.messages = 0
         self.words = 0
@@ -111,9 +108,9 @@ class MessagePassing:
             return injection_done
         chan = self.channel(src, dst)
         chan.push(values, arrival)
-        if self._recorder.enabled:
-            self._recorder.fabric_send(src, dst, len(values), now, arrival,
-                                       injection_done)
+        if self._fabric_send is not None:
+            self._fabric_send(src, dst, len(values), now, arrival,
+                              injection_done)
         self.messages += 1
         self.words += len(values)
         self.words_in_flight += len(values)
@@ -123,9 +120,8 @@ class MessagePassing:
         occupancy = len(chan)
         if occupancy > self.channel_high_water.get(key, 0):
             self.channel_high_water[key] = occupancy
-        self._occupancy_hist.observe(occupancy)
-        if self._timeseries.enabled:
-            self._timeseries.channel_occupancy(src, dst, now, occupancy)
+        if self._channel_occupancy is not None:
+            self._channel_occupancy(src, dst, now, occupancy)
         return injection_done
 
     def try_recv(self, src, dst, count, now):
@@ -136,14 +132,14 @@ class MessagePassing:
         ready = chan.ready_time(count)
         values = chan.pop(count)
         self.words_in_flight -= count
-        drain = (count + WORDS_PER_FLIT - 1) // WORDS_PER_FLIT
+        words_per_flit = self.network.params.words_per_flit
+        drain = (count + words_per_flit - 1) // words_per_flit
         finish = max(now, ready) + drain
         if self.injector.armed:
             # Checksum side-band verification + bounded retry-backoff.
             values, finish = self.injector.inbound(src, dst, values, finish)
-        if self._recorder.enabled:
-            self._recorder.fabric_recv(src, dst, count, now, ready, finish,
-                                       drain)
+        if self._fabric_recv is not None:
+            self._fabric_recv(src, dst, count, now, ready, finish, drain)
         return values, finish
 
     def earliest_ready(self, dst):

@@ -62,10 +62,7 @@ class Network:
         self.mesh = mesh if mesh is not None else Mesh.from_params(self.params)
         self.contention = contention
         telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.tracer = telemetry.tracer
-        self.timeseries = telemetry.timeseries
-        self.recorder = telemetry.recorder
-        self._wait_hist = telemetry.stats.histogram("noc.link_wait")
+        self._link_crossed = telemetry.link_crossed(contention)
         self._links = {}
         self.packets_sent = 0
         self.flits_sent = 0
@@ -111,6 +108,7 @@ class Network:
             return time + flits + extra, time + flits
         route = self.mesh.route_links(src, dst)
         hops = len(route)
+        link_crossed = self._link_crossed
         arrival = time
         injection_done = time
         cursor = time
@@ -133,16 +131,8 @@ class Network:
                             self.link_wait.get(link, 0) + waited
                         )
                         self.contention_delay += waited
-                    self._wait_hist.observe(waited)
-                    if self.recorder.enabled:
-                        self.recorder.noc_crossing(link, crossed, flits,
-                                                   waited)
-                    if self.tracer.enabled:
-                        self.tracer.link_reserved(
-                            link, src, dst, crossed, flits, waited
-                        )
-                    if self.timeseries.enabled:
-                        self.timeseries.link_flits(link, crossed, flits)
+                    if link_crossed is not None:
+                        link_crossed(link, src, dst, crossed, flits, waited)
                     head_time = crossed + self.link_cycles
                     if link_index == 0:
                         injection_done = max(injection_done, crossed + flits)
@@ -153,18 +143,10 @@ class Network:
                 injection_done = max(injection_done, cursor + flits)
                 for link_index, link in enumerate(route):
                     self.link_busy[link] = self.link_busy.get(link, 0) + flits
-                    if (self.tracer.enabled or self.timeseries.enabled
-                            or self.recorder.enabled):
+                    if link_crossed is not None:
                         crossed = (cursor + self.router_stages
                                    + per_hop * link_index)
-                        if self.recorder.enabled:
-                            self.recorder.noc_crossing(link, crossed, flits, 0)
-                        if self.tracer.enabled:
-                            self.tracer.link_reserved(
-                                link, src, dst, crossed, flits, 0
-                            )
-                        if self.timeseries.enabled:
-                            self.timeseries.link_flits(link, crossed, flits)
+                        link_crossed(link, src, dst, crossed, flits, 0)
             arrival = max(arrival, packet_arrival)
             cursor += flits  # next packet streams behind this one
         return arrival + extra, injection_done

@@ -27,6 +27,7 @@ from repro.mpi.runtime import MessagePassing
 from repro.noc.network import Network
 from repro.noc.topology import Mesh
 from repro.platform import DEFAULT_PLATFORM
+from repro.power.chip import EnergyModel
 from repro.telemetry import SystemStats, ensure_telemetry
 
 
@@ -178,10 +179,7 @@ class StitchSystem:
         core = Core(
             program, memory, patch=patch,
             comm=self.fabric.port(tile), core_id=tile,
-            tracer=self.telemetry.tracer,
-            timeseries=self.telemetry.timeseries,
-            recorder=self.telemetry.recorder,
-            profile_cycles=self.profile_cycles,
+            telemetry=self.telemetry, profile_cycles=self.profile_cycles,
             params=self.platform.core,
             engine=self.engine,
             injector=self.injector,
@@ -200,15 +198,13 @@ class StitchSystem:
         blocked_at = {}  # core -> its cycle count when it blocked
         pending = list(live)
         rounds = 0
-        tracer = self.telemetry.tracer
-        recorder = self.telemetry.recorder
+        comm_unblocked = self.telemetry.comm_unblocked
         timeout = self.recv_timeout
         while pending or blocked:
             rounds += 1
             if rounds > max_rounds:
                 error = self._round_budget(max_rounds, pending, blocked)
-                self._finalize_recorder(recorder, live, reasons, "budget",
-                                        error.snapshot)
+                self._close(live, reasons, "budget", error.snapshot)
                 raise error
             progressed = False
             next_pending = []
@@ -235,8 +231,8 @@ class StitchSystem:
                     del blocked_at[core]
                     pending.append(core)
                     progressed = True
-                    if tracer.enabled:
-                        tracer.comm_unblocked(core.core_id, core.cycles)
+                    if comm_unblocked is not None:
+                        comm_unblocked(core.core_id, core.cycles)
             # Receive watchdog: a blocked tile whose wait outlives the
             # deadline fails loud even while the rest of the system is
             # still making progress.
@@ -247,26 +243,15 @@ class StitchSystem:
                 if expired:
                     error = self._recv_timeout(expired, blocked_at, horizon,
                                                timeout)
-                    self._finalize_recorder(recorder, live, reasons,
-                                            "timeout", error.snapshot)
+                    self._close(live, reasons, "timeout", error.snapshot)
                     raise error
             if not progressed and not pending:
                 if blocked:
                     error = self._deadlock(blocked)
-                    self._finalize_recorder(recorder, live, reasons,
-                                            "deadlock", error.snapshot)
+                    self._close(live, reasons, "deadlock", error.snapshot)
                     raise error
                 break
-        self._finalize_recorder(recorder, live, reasons, "complete")
-        timeseries = self.telemetry.timeseries
-        if timeseries.enabled:
-            from repro.power.chip import EnergyModel
-
-            for core in live:
-                core.flush_timeseries()
-            timeseries.add_energy(
-                EnergyModel(self.platform.power, num_tiles=self.mesh.num_tiles)
-            )
+        self._close(live, reasons, "complete")
         stats = self._roll_up(live, reasons, cache_baseline)
         attach = self.telemetry.enabled
         return RunResults(
@@ -280,16 +265,12 @@ class StitchSystem:
             stats,
         )
 
-    def _finalize_recorder(self, recorder, live, reasons, outcome,
-                           snapshot=None):
-        """Close every tile's causal timeline — also for partial runs,
-        whose blocked receives become the analyzable frontier."""
-        if not recorder.enabled:
-            return
-        for core in live:
-            recorder.tile_done(core.core_id, core.cycles, reasons[core],
-                               core._recorder_counters())
-        recorder.finish(outcome, snapshot=snapshot)
+    def _close(self, live, reasons, outcome, snapshot=None):
+        self.telemetry.close_run(
+            live, reasons, outcome, snapshot,
+            energy=EnergyModel(self.platform.power,
+                               num_tiles=self.mesh.num_tiles),
+        )
 
     def makespan(self, results=None):
         results = results if results is not None else self.run()
@@ -391,7 +372,7 @@ class StitchSystem:
 
     def _recv_timeout(self, expired, blocked_at, horizon, timeout):
         """Build the RecvTimeoutError with its watchdog snapshot."""
-        tracer = self.telemetry.tracer
+        recv_timeout = self.telemetry.recv_timeout
         snapshot = {"deadline": timeout, "horizon": horizon, "tiles": {}}
         details = []
         for core in sorted(expired, key=lambda c: c.core_id):
@@ -405,9 +386,8 @@ class StitchSystem:
                 f"{entry['words_needed']} word(s) from tile "
                 f"{entry['waiting_on']}"
             )
-            if tracer.enabled:
-                tracer.recv_timeout(tile, entry["waiting_on"], waited,
-                                    core.cycles)
+            if recv_timeout is not None:
+                recv_timeout(tile, entry["waiting_on"], waited, core.cycles)
             if self.injector.armed:
                 self.injector.log_detect(
                     "recv", tile, core.cycles,
@@ -423,7 +403,7 @@ class StitchSystem:
 
     def _deadlock(self, blocked):
         """Build the DeadlockError with its telemetry snapshot."""
-        tracer = self.telemetry.tracer
+        deadlock = self.telemetry.deadlock
         snapshot = {}
         details = []
         for core in sorted(blocked, key=lambda c: c.core_id):
@@ -437,8 +417,8 @@ class StitchSystem:
                 f"tile {tile} needs {count} word(s) from tile {peer} "
                 f"(channel holds {queued})"
             )
-            if tracer.enabled:
-                tracer.deadlock(tile, peer, queued, core.cycles)
+            if deadlock is not None:
+                deadlock(tile, peer, queued, core.cycles)
             if self.injector.armed:
                 self.injector.log_detect("deadlock", tile, core.cycles,
                                          waiting_on=peer)

@@ -8,8 +8,9 @@ two and then runs it.  :meth:`Target.resolve` is the only place a name
 is looked up (kernels match exactly, apps case-insensitively), and
 :meth:`Target.run` is the only single-tile kernel harness: build a
 :class:`~repro.cpu.Core`, set it up, run it, check that it halted, and
-close the telemetry exactly as :meth:`StitchSystem.run
-<repro.sim.system.StitchSystem.run>` does for an application.
+close the telemetry with the :meth:`Telemetry.close_run
+<repro.telemetry.Telemetry.close_run>` epilogue an application's
+:meth:`StitchSystem.run <repro.sim.system.StitchSystem.run>` also uses.
 
 The simulator stack is imported lazily, so importing this module stays
 cheap and cycle-free.
@@ -109,13 +110,13 @@ class Target:
 
         from repro.cpu.core import Core, STOP_HALT
         from repro.mem.hierarchy import MemorySystem
+        from repro.power.chip import EnergyModel
         from repro.telemetry import ensure_telemetry
 
         telemetry = ensure_telemetry(telemetry)
         core = Core(
             self.kernel.program, MemorySystem(self.platform.mem),
-            tracer=telemetry.tracer, timeseries=telemetry.timeseries,
-            recorder=telemetry.recorder, profile_cycles=profile_cycles,
+            telemetry=telemetry, profile_cycles=profile_cycles,
             params=self.platform.core, engine=engine, injector=injector,
         )
         self.kernel.setup(core)
@@ -124,21 +125,11 @@ class Target:
         seconds = time.perf_counter() - start
         if outcome.reason != STOP_HALT:
             raise NoHaltError(self.name, outcome.reason, max_instructions)
-        # The epilogue StitchSystem.run applies to every live tile.
-        timeseries = telemetry.timeseries
-        if timeseries.enabled:
-            from repro.power.chip import EnergyModel
-
-            core.flush_timeseries()
-            noc = self.platform.noc
-            timeseries.add_energy(EnergyModel(
-                self.platform.power, num_tiles=noc.mesh_width * noc.mesh_height
-            ))
-        recorder = telemetry.recorder
-        if recorder.enabled:
-            recorder.tile_done(core.core_id, core.cycles, outcome.reason,
-                               core._recorder_counters())
-            recorder.finish("complete")
+        telemetry.close_run(
+            [core], {core: outcome.reason}, "complete",
+            energy=EnergyModel(self.platform.power,
+                               num_tiles=self.platform.noc.num_tiles),
+        )
         return TargetRun(self, [core], None, seconds)
 
 

@@ -24,10 +24,12 @@ Sampling discipline (the part the verifier's V901 rule checks):
 The collector is ring-buffered: each series keeps at most ``capacity``
 intervals and evicts the oldest beyond that (counted in
 ``dropped_intervals`` — reconciliation checks are skipped once samples
-have been dropped).  The disabled path is the shared
-:data:`NULL_TIMESERIES` null object, mirroring :data:`~repro.telemetry.
-stats.NULL_STATS`: hot loops hold the object and pay one ``enabled``
-test (or, in the core, one compare against an infinite next-boundary).
+have been dropped).  Producers reach the collector only through their
+:class:`~repro.telemetry.Telemetry` bundle's ``tile_sample`` /
+``link_crossed`` / ``channel_occupancy`` hooks, which are ``None``
+when sampling is off; the core's per-instruction cost is then one
+compare against an infinite next-boundary.  :data:`NULL_TIMESERIES`
+is the bundle's readable, empty ``timeseries`` in that case.
 """
 
 import csv
@@ -250,7 +252,10 @@ class TimeSeries:
 
 
 class NullTimeSeries:
-    """Disabled collector: records nothing, exports an empty payload."""
+    """Disabled collector: the readable value of a bundle's
+    ``timeseries`` when sampling is off.  It has no recording hooks (no
+    event ever reaches it); its series stay empty, so the
+    :class:`TimeSeries` readers answer every query and export."""
 
     enabled = False
     interval = None
@@ -263,43 +268,13 @@ class NullTimeSeries:
     def index_of(self, time):
         return 0
 
-    def tile_sample(self, tile, time, deltas):
-        pass
-
-    def link_flits(self, link, time, flits):
-        pass
-
-    def channel_occupancy(self, src, dst, time, occupancy):
-        pass
-
-    def add_energy(self, model):
-        pass
-
-    def tile_series(self, tile):
-        return []
-
-    def tile_totals(self, tile):
-        return {}
-
-    def span(self):
-        return None
-
-    def to_dict(self):
-        return {
-            "interval": None, "dropped_intervals": 0, "tiles": {},
-            "noc": {"links": {}}, "fabric": {"channels": {}},
-        }
-
-    def to_csv(self):
-        return "kind,id,start,end,field,value\r\n"
-
-    def write(self, path):
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle)
-        return path
-
-    def __len__(self):
-        return 0
+    tile_series = TimeSeries.tile_series
+    tile_totals = TimeSeries.tile_totals
+    span = TimeSeries.span
+    to_dict = TimeSeries.to_dict
+    to_csv = TimeSeries.to_csv
+    write = TimeSeries.write
+    __len__ = TimeSeries.__len__
 
 
 NULL_TIMESERIES = NullTimeSeries()

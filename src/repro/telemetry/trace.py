@@ -13,9 +13,11 @@ microsecond fields verbatim (at the paper's 200 MHz, 1 cycle = 5 ns;
 the viewer's absolute unit is irrelevant — relative placement is what
 matters).
 
-Hot paths must not pay for tracing when it is off: components share the
-module-level :data:`NULL_TRACER` (``enabled = False``) and guard warm
-per-event calls with a single ``if tracer.enabled`` check.
+Simulation code never calls a tracer directly: it fires events on its
+:class:`~repro.telemetry.Telemetry` bundle, whose hooks are the
+tracer's bound methods when tracing is on and ``None`` when it is off
+(the module-level :data:`NULL_TRACER` then stands in as the bundle's
+readable, empty ``tracer``).
 """
 
 import gzip
@@ -255,38 +257,18 @@ class Tracer:
 
 
 class NullTracer:
-    """Disabled tracer: records nothing, exports an empty trace."""
+    """Disabled tracer: the readable value of a bundle's ``tracer``
+    when tracing is off (no event hook ever reaches it)."""
 
     enabled = False
     events = ()
 
-    def span(self, *args, **kwargs):
-        pass
-
-    def instant(self, *args, **kwargs):
-        pass
-
-    def counter(self, *args, **kwargs):
-        pass
-
-    tile_span = comm_send = comm_recv = span
-    comm_blocked = comm_unblocked = cix = cache_miss = instant
-    link_reserved = deadlock = recv_timeout = instant
-    fault = fault_detected = fault_recovered = instant
-
-    def tracks(self):
-        return []
-
     def to_chrome(self):
         return {"traceEvents": [], "displayTimeUnit": "ms"}
 
-    def write_chrome(self, path):
-        with _open_trace(path) as handle:
-            json.dump(self.to_chrome(), handle)
-        return path
-
-    def __len__(self):
-        return 0
+    tracks = Tracer.tracks
+    write_chrome = Tracer.write_chrome
+    __len__ = Tracer.__len__
 
 
 NULL_TRACER = NullTracer()

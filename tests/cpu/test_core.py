@@ -376,13 +376,13 @@ class TestAttribution:
         self.check(core)
 
     def test_tracer_records_slice_spans(self):
-        from repro.telemetry import Tracer
+        from repro.telemetry import Telemetry, Tracer
 
         tracer = Tracer()
         core = Core(
             assemble("movi r1, 1\nadd r1, r1, r1\nhalt"),
             MemorySystem.stitch(),
-            tracer=tracer,
+            telemetry=Telemetry(tracer=tracer),
             core_id=4,
         )
         core.run()

@@ -51,9 +51,9 @@ class TestEngineSelection:
         assert make_core("halt", **flags).selected_engine() == "instrumented"
 
     def test_auto_resolves_to_instrumented_with_tracer(self):
-        from repro.telemetry import Tracer
+        from repro.telemetry import Telemetry, Tracer
 
-        core = make_core("halt", tracer=Tracer())
+        core = make_core("halt", telemetry=Telemetry(tracer=Tracer()))
         assert core.selected_engine() == "instrumented"
 
     def test_explicit_engine_wins(self):

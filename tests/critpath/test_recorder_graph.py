@@ -15,6 +15,7 @@ from repro.critpath.runner import record_system, recording_telemetry
 from repro.isa import assemble
 from repro.sim import StitchSystem
 from repro.sweep.runner import ring_programs
+from repro.telemetry import Telemetry
 
 
 def recorded_ring(laps=2, **system_kwargs):
@@ -110,10 +111,14 @@ class TestJsonRoundTrip:
 class TestNullRecorder:
     def test_disabled_recorder_is_inert(self):
         assert not NULL_RECORDER.enabled
-        NULL_RECORDER.send(0, 1, 4, 10, 12, (0,) * len(COUNTER_FIELDS))
-        NULL_RECORDER.fabric_send(0, 1, 4, 10, 15, 12)
-        NULL_RECORDER.tile_done(0, 20, "halt", (0,) * len(COUNTER_FIELDS))
-        NULL_RECORDER.finish("complete")
+        # No event reaches a disabled recorder: the bundle's hooks are
+        # None, so the null object carries no hook methods at all.
+        telemetry = Telemetry(recorder=None)
+        assert telemetry.recorder is NULL_RECORDER
+        for hook in ("fabric_send", "fabric_recv"):
+            assert getattr(telemetry, hook) is None
+        for hook in ("send", "fabric_send", "tile_done", "finish"):
+            assert not hasattr(NULL_RECORDER, hook)
         assert len(NULL_RECORDER) == 0
         assert NULL_RECORDER.makespan() == 0
 

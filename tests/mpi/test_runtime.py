@@ -6,6 +6,8 @@ from repro.cpu import Core, STOP_HALT, STOP_RECV
 from repro.isa import assemble
 from repro.mem import MemorySystem
 from repro.mpi import MessagePassing
+from repro.noc import Network
+from repro.platform import PlatformConfig
 
 
 class TestChannels:
@@ -59,6 +61,19 @@ class TestChannels:
         fabric.send(2, 1, [3], now=0)
         assert fabric.pending_words(1) == 3
         assert fabric.pending_words() == 3
+
+    @pytest.mark.parametrize("flit_bytes, drain", [(16, 4), (32, 2)])
+    def test_recv_drain_uses_the_platform_flit_width(self, flit_bytes,
+                                                     drain):
+        platform = PlatformConfig.stitch().derive(
+            noc={"flit_bytes": flit_bytes},
+            fabric={"link_data_bits": flit_bytes * 8},
+        )
+        fabric = MessagePassing(Network(params=platform.noc))
+        fabric.send(0, 1, list(range(16)), now=0)
+        ready = fabric.channel(0, 1).ready_time(16)
+        _, finish = fabric.try_recv(0, 1, 16, now=ready)
+        assert finish - ready == drain  # one cycle per flit drained
 
     def test_invalid_tiles_rejected(self):
         fabric = MessagePassing()

@@ -7,7 +7,14 @@ import pytest
 from repro.cpu import Core
 from repro.mem import MemorySystem
 from repro.power.chip import EnergyModel
-from repro.telemetry import NULL_TIMESERIES, TimeSeries
+from repro.telemetry import (
+    NULL_STATS,
+    NULL_TELEMETRY,
+    NULL_TIMESERIES,
+    NULL_TRACER,
+    Telemetry,
+    TimeSeries,
+)
 from repro.verify import check_timeseries
 from repro.workloads import make_kernel
 
@@ -122,9 +129,14 @@ class TestExport:
 
 class TestNullPath:
     def test_null_records_nothing(self):
-        NULL_TIMESERIES.tile_sample(0, 0, {"cycles": 5})
-        NULL_TIMESERIES.link_flits((0, 1), 0, 3)
-        NULL_TIMESERIES.channel_occupancy(0, 1, 0, 2)
+        # No event reaches a disabled collector: the bundle's hooks are
+        # None, so the null object carries no recording methods at all.
+        assert NULL_TELEMETRY.tile_sample is None
+        assert NULL_TELEMETRY.link_crossed(True) is None
+        assert NULL_TELEMETRY.channel_occupancy() is None
+        for hook in ("tile_sample", "link_flits", "channel_occupancy",
+                     "add_energy"):
+            assert not hasattr(NULL_TIMESERIES, hook)
         assert len(NULL_TIMESERIES) == 0
         assert not NULL_TIMESERIES.enabled
         assert NULL_TIMESERIES.to_dict()["tiles"] == {}
@@ -134,7 +146,8 @@ class TestCoreIntegration:
     def test_kernel_intervals_reconcile_with_totals(self):
         kernel = make_kernel("fir", seed=2)
         ts = TimeSeries(interval=256)
-        core = Core(kernel.program, MemorySystem.stitch(), timeseries=ts)
+        core = Core(kernel.program, MemorySystem.stitch(),
+                    telemetry=Telemetry(NULL_STATS, NULL_TRACER, ts))
         kernel.setup(core)
         assert core.run(max_instructions=3_000_000).reason == "halt"
         core.flush_timeseries()
