@@ -122,7 +122,74 @@ def _build_dependences(instructions):
     return edges
 
 
-def _make_cix(mapping, cfg_id, pool):
+class DependenceClosure:
+    """Transitive closure of a block's dependence graph under contraction.
+
+    ``desc[p]`` / ``anc[p]`` are the bitsets (bit ``q`` = block position
+    ``q``) of positions that must follow / precede position ``p``.
+    :func:`_build_dependences` edges all point forward, so one sweep in
+    each direction closes the graph.  Merging a group of positions into
+    one node — as :func:`rewrite_block` contracts a placement — keeps
+    the closure exact, so whether a further group contracts without a
+    cycle is one bitset test instead of a trial rewrite.
+    """
+
+    def __init__(self, instructions):
+        count = len(instructions)
+        succs = [[] for _ in range(count)]
+        preds = [[] for _ in range(count)]
+        for src, dst in _build_dependences(instructions):
+            succs[src].append(dst)
+            preds[dst].append(src)
+        self.desc = [0] * count
+        self.anc = [0] * count
+        for pos in reversed(range(count)):
+            for succ in succs[pos]:
+                self.desc[pos] |= (1 << succ) | self.desc[succ]
+        for pos in range(count):
+            for pred in preds[pos]:
+                self.anc[pos] |= (1 << pred) | self.anc[pred]
+
+    def _span(self, positions):
+        mask = desc = anc = 0
+        for pos in positions:
+            mask |= 1 << pos
+            desc |= self.desc[pos]
+            anc |= self.anc[pos]
+        return mask, desc & ~mask, anc & ~mask
+
+    def contractible(self, positions):
+        """True unless contracting ``positions`` creates a cycle, i.e.
+        some outside position both follows and precedes the group."""
+        _, desc, anc = self._span(positions)
+        return not desc & anc
+
+    def merge(self, positions):
+        """Contract ``positions`` (which must be contractible)."""
+        mask, desc, anc = self._span(positions)
+        for pos in _bits(anc):
+            self.desc[pos] |= mask | desc
+        for pos in _bits(desc):
+            self.anc[pos] |= mask | anc
+        for pos in positions:
+            self.desc[pos] = desc
+            self.anc[pos] = anc
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def operand_registers(mapping, pool):
+    """The cix source registers of ``mapping``, in ext-slot order.
+
+    Pooled constants are allocated on first use, in slot order, so the
+    register a constant lands in depends on the order mappings are
+    first passed here.
+    """
     # Operand position IS the patch's ext slot index: unused slots up
     # to the last bound one must be kept (as r0), never collapsed.
     binding = list(mapping.ext_binding)
@@ -136,10 +203,14 @@ def _make_cix(mapping, cfg_id, pool):
             ins.append(ref[1])
         else:
             ins.append(pool.get(ref[1]))
+    return ins or [0]
+
+
+def _make_cix(mapping, cfg_id, pool):
     outs = list(mapping.out_binding) or [0]
-    if not ins:
-        ins = [0]
-    return Instruction(Op.CIX, cfg=cfg_id, outs=outs, ins=ins)
+    return Instruction(
+        Op.CIX, cfg=cfg_id, outs=outs, ins=operand_registers(mapping, pool)
+    )
 
 
 def rewrite_block(block, placements, pool):

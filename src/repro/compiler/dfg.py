@@ -79,6 +79,7 @@ class DFG:
         self.mem_order = []       # positions of mem/comm ops, program order
         self._consumers = {}      # node id -> [node ids]
         self._build(spm_only)
+        self._index_reachability()
 
     # -- construction -----------------------------------------------------
 
@@ -158,6 +159,39 @@ class DFG:
             if ref[0] == "node" and reg in self.live_out_regs:
                 self.nodes[ref[1]].live_out = True
 
+    def _index_reachability(self):
+        """Bitsets (bit ``i`` = node ``i``) built once per block.
+
+        ``_desc[i]`` / ``_anc[i]`` are the nodes reachable from / reaching
+        node ``i`` over value edges.  Producers always precede their
+        consumers, so one reverse and one forward sweep close them.
+        ``_load_bits`` / ``_store_bits`` mark the lw / sw nodes and
+        ``_opaque_mem_positions`` the block positions of memory-order
+        ops that are not nodes (comm and cix).
+        """
+        count = len(self.nodes)
+        self._desc = [0] * count
+        self._anc = [0] * count
+        for node in reversed(self.nodes):
+            desc = 0
+            for consumer in self.consumers(node.id):
+                desc |= (1 << consumer) | self._desc[consumer]
+            self._desc[node.id] = desc
+        for node in self.nodes:
+            anc = 0
+            for pred in node.value_pred_ids():
+                anc |= (1 << pred) | self._anc[pred]
+            self._anc[node.id] = anc
+        self._load_bits = self._store_bits = self._opaque_mem_positions = 0
+        for pos in self.mem_order:
+            node = self.node_at_pos.get(pos)
+            if node is None:
+                self._opaque_mem_positions |= 1 << pos
+            elif node.op is Op.LW:
+                self._load_bits |= 1 << node.id
+            else:
+                self._store_bits |= 1 << node.id
+
     # -- queries ---------------------------------------------------------------
 
     def consumers(self, node_id):
@@ -216,53 +250,48 @@ class DFG:
             if self.has_external_consumer(self.nodes[node_id], member_ids)
         ]
 
+    def reaches(self, src, dst):
+        """True if a value path leads from node ``src`` to node ``dst``."""
+        return bool(self._desc[src] >> dst & 1)
+
     def is_convex(self, member_ids):
         """No outside path from a member back into the candidate.
 
         Checked over value edges plus the memory/comm order (a candidate
         may not straddle a non-member memory or communication op that
-        both depends on it and feeds it).
+        both depends on it and feeds it).  With the reachability bitsets
+        a value path leaves and re-enters the candidate iff some
+        non-member is both a descendant and an ancestor of it.
         """
-        members = set(member_ids)
-        if self._mem_span_violated(members):
+        mask = desc = anc = 0
+        for node_id in member_ids:
+            mask |= 1 << node_id
+            desc |= self._desc[node_id]
+            anc |= self._anc[node_id]
+        if desc & anc & ~mask:
             return False
-        # Forward reachability from the candidate through outside nodes.
-        frontier = []
-        for node_id in members:
-            for consumer in self.consumers(node_id):
-                if consumer not in members:
-                    frontier.append(consumer)
-        seen = set()
-        while frontier:
-            node_id = frontier.pop()
-            if node_id in seen:
-                continue
-            seen.add(node_id)
-            if node_id in members:
-                return False
-            for consumer in self.consumers(node_id):
-                frontier.append(consumer)
-        return True
+        return not self._mem_span_violated(mask)
 
-    def _mem_span_violated(self, members):
+    def _mem_span_violated(self, mask):
         """A hazardous non-member mem/comm op inside the memory span.
 
-        Outside *loads* commute with member loads, so they only violate
-        the span when the candidate contains a store; outside stores
-        and comm ops always do.
+        ``mask`` is the candidate's node-id bitset.  Outside *loads*
+        commute with member loads, so they only violate the span when
+        the candidate contains a store; outside stores and comm ops
+        always do.  Node ids follow block positions, so the node ids
+        strictly between the first and last member memory op are
+        exactly the nodes inside the span.
         """
-        member_mem = [self.nodes[m] for m in members if self.nodes[m].is_mem]
-        if len(member_mem) < 2:
-            return False
-        positions = [node.pos for node in member_mem]
-        lo, hi = min(positions), max(positions)
-        member_has_store = any(node.op is Op.SW for node in member_mem)
-        for pos in self.mem_order:
-            if lo < pos < hi:
-                node = self.node_at_pos.get(pos)
-                if node is not None and node.id in members:
-                    continue
-                outside_is_load = node is not None and node.op is Op.LW
-                if not outside_is_load or member_has_store:
-                    return True
-        return False
+        member_mem = mask & (self._load_bits | self._store_bits)
+        if not member_mem & (member_mem - 1):
+            return False  # fewer than two memory members
+        lo = (member_mem & -member_mem).bit_length() - 1
+        hi = member_mem.bit_length() - 1
+        inside = ((1 << hi) - 1) & ~((2 << lo) - 1) & ~mask
+        if inside & self._store_bits:
+            return True
+        if mask & self._store_bits and inside & self._load_bits:
+            return True
+        lo_pos, hi_pos = self.nodes[lo].pos, self.nodes[hi].pos
+        span = ((1 << hi_pos) - 1) & ~((2 << lo_pos) - 1)
+        return bool(span & self._opaque_mem_positions)

@@ -27,7 +27,7 @@ from repro.core.executor import PatchExecutor
 from repro.core.patches import AT_AS, AT_MA, AT_SA, LOCUS_SFU
 from repro.cpu.core import Core, STOP_HALT
 from repro.mem.hierarchy import MemorySystem
-from repro.provenance.records import NULL_REPORT
+from repro.provenance.records import NULL_REPORT, EnumerationLog
 
 
 def _first_divergence(expected, actual, prefix=""):
@@ -227,6 +227,7 @@ class KernelCompiler:
         with self.report.phase("reference"):
             self._reference = self._run(kernel.program, cfg_table=None)[1]
         self._cache = {}
+        self._enumerations = {}  # (block, max_inputs, max_outputs) -> memo
 
     # -- execution ------------------------------------------------------------
 
@@ -284,32 +285,47 @@ class KernelCompiler:
         self._cache[option.name] = compiled
         return compiled
 
+    def _enumerate(self, block, max_outputs):
+        """``(candidates, EnumerationLog)`` of one hot block, memoized.
+
+        The DFG and its candidate set depend only on the block and the
+        I/O budget, so the options sharing a budget share one search;
+        each version replays the log into its own block record.
+        """
+        key = (block.index, self.max_inputs, max_outputs)
+        memo = self._enumerations.get(key)
+        if memo is None:
+            dfg = DFG(
+                block,
+                spm_only=self.profile.spm_only,
+                live_out=self.block_live_out[block.index],
+                replicable=frozenset(self.replicable),
+            )
+            log = EnumerationLog()
+            candidates = enumerate_candidates(
+                dfg, max_inputs=self.max_inputs, max_outputs=max_outputs,
+                observer=log,
+            )
+            memo = self._enumerations[key] = (candidates, log)
+        return memo
+
     def _compile(self, option, version):
         program = self.kernel.program
         pool = ImmPool.for_program(program)
         all_mappings = []
         rewrites = {}
+        max_outputs = (
+            option.max_outputs if option.max_outputs is not None
+            else self.max_outputs
+        )
         for hot in self.profile.hot_blocks(self.hot_threshold):
             block_rec = version.block(hot.block.index, hot.weight)
-            dfg = DFG(
-                hot.block,
-                spm_only=self.profile.spm_only,
-                live_out=self.block_live_out[hot.block.index],
-                replicable=frozenset(self.replicable),
-            )
-            max_outputs = (
-                option.max_outputs if option.max_outputs is not None
-                else self.max_outputs
-            )
             with self.report.phase("enumerate", owner=version):
-                candidates = enumerate_candidates(
-                    dfg, max_inputs=self.max_inputs, max_outputs=max_outputs,
-                    observer=(
-                        block_rec.enumeration
-                        if block_rec is not None else None
-                    ),
-                )
+                candidates, log = self._enumerate(hot.block, max_outputs)
             if block_rec is not None:
+                block_rec.enumeration.visited = log.visited
+                block_rec.enumeration.rejections = dict(log.rejections)
+                block_rec.enumeration.truncated = log.truncated
                 block_rec.enumerated = len(candidates)
             with self.report.phase("select", owner=version):
                 mappings = select_ises(

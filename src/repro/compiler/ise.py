@@ -166,27 +166,13 @@ def _independent_pairs(dfg, eligible_ids, feasible):
     reordering-safety analysis for disconnected stores is not worth
     the marginal gain.
     """
-
-    def reachable(src, dst):
-        frontier = [src]
-        seen = set()
-        while frontier:
-            node = frontier.pop()
-            if node == dst:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(dfg.consumers(node))
-        return False
-
     compute_ids = [
         node_id for node_id in eligible_ids if not dfg.nodes[node_id].is_mem
     ]
     pairs = []
     for index, a in enumerate(compute_ids):
         for b in compute_ids[index + 1:]:
-            if reachable(a, b) or reachable(b, a):
+            if dfg.reaches(a, b) or dfg.reaches(b, a):
                 continue
             candidate = feasible({a, b})
             if candidate is not None:

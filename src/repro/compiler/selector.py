@@ -6,10 +6,16 @@ Greedy (largest coverage first), honoring:
 * mappability on the target patch option,
 * constant-register availability in the :class:`ImmPool`,
 * schedulability — adding the mapping must not create a dependence
-  cycle in the rewritten block (checked by a trial rewrite).
+  cycle in the rewritten block.  A :class:`DependenceClosure` of the
+  block, with every accepted group merged in, answers that without a
+  trial rewrite; one :func:`rewrite_block` of the final set confirms it.
 """
 
-from repro.compiler.codegen import CodegenError, rewrite_block
+from repro.compiler.codegen import (
+    DependenceClosure,
+    operand_registers,
+    rewrite_block,
+)
 from repro.compiler.mapper import map_candidate
 from repro.core.fusion import FusedConfig
 from repro.provenance.records import (
@@ -50,7 +56,10 @@ def select_ises(candidates, targets, pool, max_per_block=8, observer=None):
     """
     chosen = []
     covered = set()
-    block = candidates[0].dfg.block if candidates else None
+    if not candidates:
+        return chosen
+    block = candidates[0].dfg.block
+    closure = DependenceClosure(block.instructions)
     for candidate in candidates:
         if len(chosen) >= max_per_block:
             if observer is None:
@@ -75,17 +84,24 @@ def select_ises(candidates, targets, pool, max_per_block=8, observer=None):
             if observer is not None:
                 observer.decide(candidate, REJECTED, reason=REJECT_UNMAPPABLE)
             continue
-        trial = chosen + [mapping]
-        try:
-            rewrite_block(block, [(m, 0) for m in trial], pool)
-        except CodegenError:
+        positions = [
+            candidate.dfg.nodes[node_id].pos for node_id in candidate.node_ids
+        ]
+        if not closure.contractible(positions):
             if observer is not None:
                 observer.decide(
                     candidate, REJECTED, reason=REJECT_UNSCHEDULABLE
                 )
             continue
+        closure.merge(positions)
+        # Allocate the mapping's constants now, in the order its cix
+        # will ask for them: later acceptances and blocks see the same
+        # pool state as if each accepted set had been rewritten.
+        operand_registers(mapping, pool)
         chosen.append(mapping)
         covered |= candidate.node_ids
         if observer is not None:
             observer.decide(candidate, SELECTED, target=_target_name(mapping))
+    if chosen:
+        rewrite_block(block, [(m, 0) for m in chosen], pool)
     return chosen

@@ -12,7 +12,10 @@ trusting it:
   grew a new rejection path without naming it),
 * **V602** — plan cross-check: a stitch plan's accelerated assignment
   must point at a version the report measured, with matching cycles
-  and a passing bit-exact validation verdict.
+  and a passing bit-exact validation verdict,
+* **V603** (warning) — a hot block's candidate enumeration hit its
+  subgraph ``limit``, so the candidate set (and every decision built on
+  it) covers only part of the block's search space.
 
 Like the V5xx telemetry rules these inspect dynamic artifacts, but the
 checks themselves are pure: nothing is compiled or simulated here.
@@ -47,6 +50,11 @@ register_rule(
     "stitch plan assignment disagrees with the compile report",
     "report-checks",
 )
+register_rule(
+    "V603", Severity.WARNING,
+    "ISE candidate enumeration truncated at its subgraph limit",
+    "report-checks",
+)
 
 # The complete selection-time rejection vocabulary; enumeration-time
 # reasons are included because EnumerationLog buckets use them too.
@@ -63,12 +71,19 @@ KNOWN_REASONS = frozenset({
 
 
 def check_compile_report(compile_report, report=None):
-    """Verify one kernel's provenance record (V600 + V601)."""
+    """Verify one kernel's provenance record (V600, V601, V603)."""
     subject = f"compile report {compile_report.kernel_name}"
     report = report if report is not None else Report(subject)
     for name, version in sorted(compile_report.versions.items()):
         for block in version.blocks:
             loc = f"{compile_report.kernel_name}@{name} block {block.block_index}"
+            if block.enumeration.truncated:
+                report.emit(
+                    "V603", loc,
+                    f"enumeration hit its subgraph limit "
+                    f"({block.enumeration.visited} subgraphs examined); "
+                    f"the candidate set is incomplete",
+                )
             decided = len(block.candidates)
             if block.enumerated is None:
                 report.emit(

@@ -11,7 +11,7 @@ from repro.provenance import (
     CompileReport,
 )
 from repro.verify import check_compile_report, check_report_against_plan
-from repro.verify.diagnostics import RULES
+from repro.verify.diagnostics import RULES, Severity
 
 
 class FakeOption:
@@ -47,7 +47,7 @@ def make_report(enumerated=2):
 
 class TestRegistration:
     def test_rules_registered(self):
-        for code in ("V600", "V601", "V602"):
+        for code in ("V600", "V601", "V602", "V603"):
             assert code in RULES
             assert RULES[code].pass_name == "report-checks"
 
@@ -70,6 +70,23 @@ class TestV600:
         block.enumerated = None
         result = check_compile_report(report)
         assert result.codes() == ["V600"]
+
+
+class TestV603:
+    def test_truncated_enumeration_warns(self):
+        report = make_report()
+        block = next(iter(report.versions.values())).blocks[0]
+        block.enumeration.visited = 20620
+        block.enumeration.note_truncated()
+        result = check_compile_report(report)
+        assert result.codes() == ["V603"]
+        assert result.diagnostics[0].severity is Severity.WARNING
+        assert "k@AT-MA block 0" in result.diagnostics[0].loc
+        assert "20620 subgraphs" in result.diagnostics[0].message
+        assert result.ok() and not result.ok(strict=True)
+
+    def test_complete_enumeration_is_silent(self):
+        assert "V603" not in check_compile_report(make_report()).codes()
 
 
 class TestV601:
