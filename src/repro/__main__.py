@@ -581,7 +581,7 @@ def cmd_bench(args):
     if args.host:
         from repro.analysis.hostbench import bench_host, render_host
 
-        print("bench host (simulated-instr/s, reference vs fast engine)...")
+        print("bench host (simulated-instr/s, instrumented vs fast engine)...")
         payloads["BENCH_host.json"] = bench_host(seed=args.seed)
         print(render_host(payloads["BENCH_host.json"]))
     for filename, payload in payloads.items():
@@ -990,7 +990,7 @@ def main(argv=None):
     p_bench.add_argument("--skip-fig12", action="store_true")
     p_bench.add_argument(
         "--host", action="store_true",
-        help="also measure host-side simulated-instr/s (reference vs "
+        help="also measure host-side simulated-instr/s (instrumented vs "
              "fast engine) into BENCH_host.json",
     )
     p_bench.add_argument("--seed", type=int, default=1)

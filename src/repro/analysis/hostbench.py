@@ -1,9 +1,10 @@
 """Host-side simulator-throughput bench (``BENCH_host.json``).
 
-Measures simulated-instructions-per-second of the execution engines on
-a fixed workload set — three Figure-11 kernels spanning the op-mix
-space plus the APP4 16-tile co-simulation — for both the retained
-reference interpreter and the pre-decoded fast loop, and records the
+Measures simulated-instructions-per-second of the two execution
+engines on a fixed workload set — three Figure-11 kernels spanning the
+op-mix space plus the APP4 16-tile co-simulation — for both the
+instrumented loop (the timing model's executable specification, which
+every observed run uses) and the hook-free fast loop, and records the
 ratio.  The simulated cycle counts are bit-identical across engines
 (the differential suite proves that); this bench tracks only how fast
 the host gets them.
@@ -12,10 +13,9 @@ Gating (:func:`compare_host`) is direction-aware like
 :func:`repro.analysis.bench.compare_bench`: absolute instr/s values are
 machine-dependent, so CI compares them against a committed baseline
 with a generous relative tolerance and only fails on *drops*; the
-machine-independent ``fast_speedup`` ratio (fast loop vs reference
-interpreter on the same host, same process) additionally gates against
-a floor — the refactor's "≥2× faster than the pre-refactor
-interpreter" claim, re-proven on every run.
+machine-independent ``fast_speedup`` ratio (fast loop vs instrumented
+loop on the same host, same process) additionally gates against a
+floor.
 """
 
 import statistics
@@ -28,9 +28,14 @@ SCHEMA_VERSION = 1
 HOST_KERNELS = ("fir", "fft", "2dconv")
 HOST_APP = "APP4"
 
-#: The fast loop must beat the reference interpreter by at least this
-#: factor (machine-independent ratio, measured in-process).
-MIN_FAST_SPEEDUP = 2.0
+#: The fast loop must beat the instrumented loop by at least this
+#: factor (machine-independent ratio, measured in-process).  Aggregate
+#: runs on a 2-vCPU host spread over 1.7-3.1x; the instrumented loop
+#: itself runs at 2.1-2.6x the original per-retire-decoding
+#: interpreter, so 1.5x here still means more than 3x that interpreter.
+MIN_FAST_SPEEDUP = 1.5
+
+ENGINES = ("instrumented", "fast")
 
 #: Relative drop in instr/s vs the committed baseline that fails the
 #: regression gate (absolute throughputs are machine-dependent, so the
@@ -50,20 +55,26 @@ def _measure(name, engine, repeats, seed, items):
     return sum(core.instret for core in run.cores), statistics.median(times)
 
 
+def _speedup(row):
+    spec = row["instrumented_instr_per_second"]
+    fast = row["fast_instr_per_second"]
+    return round(fast / spec, 3) if spec and fast else None
+
+
 def bench_host(kernels=HOST_KERNELS, app=HOST_APP, repeats=3, seed=1,
-               items=4, engines=("reference", "fast")):
-    """Measure simulated-instr/s per target per engine.
+               items=4):
+    """Measure simulated-instr/s per target on both engines.
 
     Returns the ``BENCH_host.json`` payload: per-target instruction
-    counts and throughputs per engine, plus an aggregate (total
-    instructions / total median time) and the ``fast_speedup`` ratio
-    when both the ``fast`` and ``reference`` engines are measured.
+    counts and throughputs per engine plus the ``fast_speedup`` ratio
+    (fast / instrumented), and the same three figures in aggregate
+    (total instructions / total median time).
     """
     targets = {}
-    totals = {engine: [0, 0.0] for engine in engines}  # instr, seconds
+    totals = {engine: [0, 0.0] for engine in ENGINES}  # instr, seconds
     for name in tuple(kernels) + ((app,) if app else ()):
         row = {}
-        for engine in engines:
+        for engine in ENGINES:
             instructions, seconds = _measure(name, engine, repeats, seed,
                                              items)
             if row.get("instructions", instructions) != instructions:
@@ -78,21 +89,15 @@ def bench_host(kernels=HOST_KERNELS, app=HOST_APP, repeats=3, seed=1,
             ) if seconds else None
             totals[engine][0] += instructions
             totals[engine][1] += seconds
-        if "reference" in engines and "fast" in engines:
-            ref = row["reference_instr_per_second"]
-            fast = row["fast_instr_per_second"]
-            row["fast_speedup"] = round(fast / ref, 3) if ref else None
+        row["fast_speedup"] = _speedup(row)
         targets[name] = row
     aggregate = {}
-    for engine in engines:
+    for engine in ENGINES:
         instructions, seconds = totals[engine]
         aggregate[f"{engine}_instr_per_second"] = round(
             instructions / seconds
         ) if seconds else None
-    if "reference" in engines and "fast" in engines:
-        ref = aggregate["reference_instr_per_second"]
-        fast = aggregate["fast_instr_per_second"]
-        aggregate["fast_speedup"] = round(fast / ref, 3) if ref else None
+    aggregate["fast_speedup"] = _speedup(aggregate)
     return {
         "bench": "host",
         "schema": SCHEMA_VERSION,
@@ -121,9 +126,9 @@ def compare_host(current, baseline, tolerance=DEFAULT_TOLERANCE,
       the floor rather than the baseline value because both engines run
       on the same host in the same process.
 
-    Per-target throughputs and the reference engine's own speed are
-    reported as notes only: the reference interpreter is the oracle,
-    not the product, and single-kernel wall times on shared CI runners
+    Per-target throughputs and the instrumented loop's own speed are
+    reported as notes only: the ratio floor already guards it relative
+    to the fast loop, and single-kernel wall times on shared CI runners
     swing well beyond any useful tolerance.
     """
     regressions = []
@@ -200,18 +205,19 @@ def compare_host(current, baseline, tolerance=DEFAULT_TOLERANCE,
 def render_host(payload):
     """Human-readable table of one host-bench payload."""
     lines = []
-    header = f"{'target':<10} {'instr':>9} {'ref M/s':>8} {'fast M/s':>9} {'speedup':>8}"
+    header = (f"{'target':<10} {'instr':>9} {'instr. M/s':>10} "
+              f"{'fast M/s':>9} {'speedup':>8}")
     lines.append(header)
     rows = list(payload["targets"].items()) + [
         ("TOTAL", dict(payload["aggregate"], instructions=""))
     ]
     for name, row in rows:
-        ref = row.get("reference_instr_per_second")
+        spec = row.get("instrumented_instr_per_second")
         fast = row.get("fast_instr_per_second")
         speedup = row.get("fast_speedup")
         lines.append(
             f"{name:<10} {row.get('instructions', ''):>9} "
-            f"{ref / 1e6 if ref else 0:>8.2f} "
+            f"{spec / 1e6 if spec else 0:>10.2f} "
             f"{fast / 1e6 if fast else 0:>9.2f} "
             f"{speedup if speedup is not None else '':>8}"
         )

@@ -10,16 +10,18 @@ Timing model (validated against the paper's counts in Figure 4):
 * ``cix`` executes the configured (possibly fused) patch in exactly one
   cycle — scratchpad accesses made by the LMAU inside the custom
   instruction are part of that cycle (Section III-C);
-* ``send``/``recv`` timing is delegated to the attached comm port, and
-  ``recv`` blocks (without retiring) until data is available.
+* ``send``/``recv`` timing is delegated to the attached comm port,
+  which starts the transfer once the instruction's fetch has completed,
+  and ``recv`` blocks (without retiring) until data is available.
 
-Execution is pluggable (``engine=`` on :class:`Core`): ``auto`` selects
-the pre-decoded fast loop of :mod:`repro.cpu.engine` when nothing
-observes the core (:attr:`Core.observed`) and the instrumented dispatch
-loop otherwise; ``reference`` forces the retained original interpreter
-below (:meth:`Core._run_reference`), the oracle the differential tests
-hold both engines to.  All three produce identical architectural state,
-cycles, stall attribution and cache/SPM counters.
+The loops live in :mod:`repro.cpu.engine`; ``engine=`` on :class:`Core`
+picks one.  ``instrumented`` is the executable specification of the
+timing model and carries every observability hook; ``fast`` is an
+independent hook-free implementation held bit-identical to it by the
+differential suite and by golden digests of the original interpreter
+(``tests/cpu/test_engine_golden.py``).  ``auto`` selects ``fast`` when
+nothing observes the core (:attr:`Core.observed`) and ``instrumented``
+otherwise.
 
 Observers attach through one :class:`~repro.telemetry.Telemetry`
 bundle (``telemetry=``) whose per-event hooks the loops fire.
@@ -29,13 +31,7 @@ bundle (``telemetry=``) whose per-event hooks the loops fire.
 
 import math
 
-from repro.isa.instructions import (
-    Op,
-    eval_alu,
-    eval_mul,
-    eval_shift,
-    wrap32,
-)
+from repro.isa.instructions import wrap32
 from repro.chaos.injector import NULL_INJECTOR
 from repro.platform import DEFAULT_PLATFORM
 from repro.telemetry import NULL_TELEMETRY
@@ -48,18 +44,8 @@ STOP_FROZEN = "frozen"
 
 #: Engine names accepted by :class:`Core`.  ``auto`` picks the fast
 #: loop when every observability channel is off and the instrumented
-#: loop otherwise; ``reference`` forces the retained original
-#: interpreter (the differential-testing oracle).
-ENGINES = ("auto", "fast", "instrumented", "reference")
-
-# Immediate-form -> base-op folds, hoisted out of the hot loop (the
-# interpreter used to allocate these dicts afresh per retired imm-ALU /
-# imm-shift instruction).
-_IMM_ALU_BASE = {
-    Op.ANDI: Op.AND, Op.ORI: Op.OR, Op.XORI: Op.XOR, Op.SLTI: Op.SLT,
-}
-_IMM_SHIFT_BASE = {Op.SLLI: Op.SLL, Op.SRLI: Op.SRL, Op.SRAI: Op.SRA}
-
+#: loop otherwise.
+ENGINES = ("auto", "fast", "instrumented")
 
 class BlockedError(RuntimeError):
     """Raised when a comm operation is attempted with no port attached."""
@@ -163,7 +149,7 @@ class Core:
             )
         self.engine = engine
         # Pre-decoded execution form + resident-line memo, built lazily
-        # on first run (the reference engine never needs either).
+        # on first run.
         self._decoded = None
         self._resident = None
         self.program = program
@@ -281,14 +267,9 @@ class Core:
 
         if self.frozen:
             return RunResult(STOP_FROZEN, self.cycles, self.instret)
-        mode = self.selected_engine()
-        if mode == "fast":
+        if self.selected_engine() == "fast":
             return engine_mod.run_fast(self, max_instructions, max_cycles)
-        if mode == "instrumented":
-            return engine_mod.run_instrumented(
-                self, max_instructions, max_cycles
-            )
-        return self._run_reference(max_instructions, max_cycles)
+        return engine_mod.run_instrumented(self, max_instructions, max_cycles)
 
     def _ensure_decoded(self):
         """Decode (memoized on the Program) + allocate the resident memo."""
@@ -302,226 +283,6 @@ class Core:
             self._decoded = decoded
             self._resident = bytearray(decoded.n)
         return decoded
-
-    def _run_reference(self, max_instructions=None, max_cycles=None):
-        """The retained original interpreter (re-decodes per retire).
-
-        Kept as the executable specification of the timing model: the
-        dispatch engines in :mod:`repro.cpu.engine` are held
-        bit-identical to this loop by the differential suite
-        (``tests/cpu/test_engine_differential.py``).  Select it with
-        ``Core(..., engine="reference")``.
-        """
-        program = self.program.instructions
-        regs = self.regs
-        memory = self.memory
-        fetch = memory.fetch
-        profile = self.profile
-        penalty = self.taken_branch_penalty
-        telemetry = self.telemetry
-        cache_miss = telemetry.cache_miss
-        cix = telemetry.cix
-        comm_send = telemetry.comm_send
-        comm_recv = telemetry.comm_recv
-        comm_blocked = telemetry.comm_blocked
-        pc_profile = self.pc_profile
-        ts_next = self._ts_next
-        inj_next = self._inj_next
-        start_instret = self.instret
-
-        while not self.halted:
-            if max_instructions is not None and self.instret - start_instret >= max_instructions:
-                return RunResult(STOP_LIMIT, self.cycles, self.instret)
-            if max_cycles is not None and self.cycles >= max_cycles:
-                return RunResult(STOP_LIMIT, self.cycles, self.instret)
-            if self.cycles >= ts_next:
-                self.flush_timeseries()
-                ts_next = self._ts_next
-            if self.cycles >= inj_next:
-                inj_next = self._fire_injector()
-                if self.frozen:
-                    return RunResult(STOP_FROZEN, self.cycles, self.instret)
-            pc = self.pc
-            if not 0 <= pc < len(program):
-                raise ExecutionError(self.core_id, self.program.name, pc)
-            instr = program[pc]
-            op = instr.op
-
-            cost = fetch(pc, instr.words) - (instr.words - 1)
-            # fetch() returns hit_latency per word + miss stalls; the
-            # issue slot already covers one cycle, extra words overlap.
-            fetch_stall = cost - 1
-            if fetch_stall:
-                self.stall_icache += fetch_stall
-                if cache_miss is not None:
-                    cache_miss(self.core_id, "icache", pc, self.cycles)
-            next_pc = pc + 1
-
-            if op is Op.LW:
-                addr = (regs[instr.ra] + instr.imm) & 0xFFFFFFFF
-                value, mem_cycles = memory.read(addr)
-                if instr.rd != 0:
-                    regs[instr.rd] = value
-                cost += mem_cycles - 1
-                if mem_cycles > 1:
-                    self.stall_memory += mem_cycles - 1
-                    if cache_miss is not None:
-                        cache_miss(self.core_id, "dcache", addr, self.cycles)
-                if profile:
-                    self._note_region(pc, addr)
-            elif op is Op.SW:
-                addr = (regs[instr.ra] + instr.imm) & 0xFFFFFFFF
-                mem_cycles = memory.write(addr, regs[instr.rd])
-                cost += mem_cycles - 1
-                if mem_cycles > 1:
-                    self.stall_memory += mem_cycles - 1
-                    if cache_miss is not None:
-                        cache_miss(self.core_id, "dcache", addr, self.cycles)
-                if profile:
-                    self._note_region(pc, addr)
-            elif op is Op.ADD:
-                if instr.rd != 0:
-                    regs[instr.rd] = wrap32(regs[instr.ra] + regs[instr.rb])
-            elif op is Op.ADDI:
-                if instr.rd != 0:
-                    regs[instr.rd] = wrap32(regs[instr.ra] + instr.imm)
-            elif op is Op.SUB:
-                if instr.rd != 0:
-                    regs[instr.rd] = wrap32(regs[instr.ra] - regs[instr.rb])
-            elif op is Op.MUL:
-                if instr.rd != 0:
-                    regs[instr.rd] = wrap32(regs[instr.ra] * regs[instr.rb])
-            elif op is Op.MULH:
-                if instr.rd != 0:
-                    regs[instr.rd] = eval_mul(op, regs[instr.ra], regs[instr.rb])
-            elif op in (Op.AND, Op.OR, Op.XOR, Op.SLT, Op.SLTU, Op.SEQ):
-                if instr.rd != 0:
-                    regs[instr.rd] = eval_alu(op, regs[instr.ra], regs[instr.rb])
-            elif op in (Op.ANDI, Op.ORI, Op.XORI, Op.SLTI):
-                if instr.rd != 0:
-                    regs[instr.rd] = eval_alu(
-                        _IMM_ALU_BASE[op], regs[instr.ra], instr.imm
-                    )
-            elif op in (Op.SLL, Op.SRL, Op.SRA):
-                if instr.rd != 0:
-                    regs[instr.rd] = eval_shift(op, regs[instr.ra], regs[instr.rb])
-            elif op in (Op.SLLI, Op.SRLI, Op.SRAI):
-                if instr.rd != 0:
-                    regs[instr.rd] = eval_shift(
-                        _IMM_SHIFT_BASE[op], regs[instr.ra], instr.imm
-                    )
-            elif op is Op.MOV:
-                if instr.rd != 0:
-                    regs[instr.rd] = regs[instr.ra]
-            elif op is Op.MOVI:
-                if instr.rd != 0:
-                    regs[instr.rd] = instr.imm
-            elif op is Op.CIX:
-                self.cix_retired += 1
-                if cix is not None:
-                    cix(self.core_id, instr.cfg, self.cycles)
-                outs = self._execute_cix(instr)
-                for reg, value in zip(instr.outs, outs):
-                    if reg != 0:
-                        regs[reg] = wrap32(value)
-            elif op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
-                lhs = regs[instr.ra]
-                rhs = regs[instr.rb]
-                if op is Op.BEQ:
-                    taken = lhs == rhs
-                elif op is Op.BNE:
-                    taken = lhs != rhs
-                elif op is Op.BLT:
-                    taken = lhs < rhs
-                elif op is Op.BGE:
-                    taken = lhs >= rhs
-                elif op is Op.BLTU:
-                    taken = (lhs & 0xFFFFFFFF) < (rhs & 0xFFFFFFFF)
-                else:
-                    taken = (lhs & 0xFFFFFFFF) >= (rhs & 0xFFFFFFFF)
-                if taken:
-                    next_pc = instr.target
-                    cost += penalty
-                    self.stall_branch += penalty
-            elif op is Op.JMP:
-                next_pc = instr.target
-                cost += penalty
-                self.stall_branch += penalty
-            elif op is Op.JAL:
-                regs[15] = pc + 1
-                next_pc = instr.target
-                cost += penalty
-                self.stall_branch += penalty
-            elif op is Op.JR:
-                next_pc = regs[instr.ra]
-                cost += penalty
-                self.stall_branch += penalty
-            elif op is Op.HALT:
-                self.halted = True
-            elif op is Op.NOP:
-                pass
-            elif op is Op.SEND:
-                peer = regs[instr.ra]
-                base = regs[instr.rb]
-                count = regs[instr.rd]
-                values = memory.dump(base, count)  # NIC DMA bypasses the cache
-                start = self.cycles
-                finish = self.comm.send(peer, values, start)
-                self.cycles = finish
-                self.stall_comm += finish - start - 1  # 1 = the issue slot
-                if comm_send is not None:
-                    comm_send(self.core_id, peer, count, start, finish,
-                              self._recorder_counters())
-                if pc_profile is not None:
-                    entry = pc_profile.get(pc)
-                    if entry is None:
-                        entry = pc_profile[pc] = [0, 0]
-                    entry[0] += finish - start
-                    entry[1] += 1
-                self.pc = next_pc
-                self.instret += 1
-                continue
-            elif op is Op.RECV:
-                peer = regs[instr.ra]
-                base = regs[instr.rb]
-                count = regs[instr.rd]
-                result = self.comm.try_recv(peer, count, self.cycles)
-                if result is None:
-                    if comm_blocked is not None:
-                        comm_blocked(self.core_id, peer, count, self.cycles)
-                    return RunResult(STOP_RECV, self.cycles, self.instret)
-                values, finish = result
-                memory.load(base, values)  # NIC DMA bypasses the cache
-                start = self.cycles
-                self.cycles = finish
-                self.stall_comm += finish - start - 1  # 1 = the issue slot
-                if comm_recv is not None:
-                    comm_recv(self.core_id, peer, count, start, finish,
-                              self._recorder_counters())
-                if pc_profile is not None:
-                    entry = pc_profile.get(pc)
-                    if entry is None:
-                        entry = pc_profile[pc] = [0, 0]
-                    entry[0] += finish - start
-                    entry[1] += 1
-                self.pc = next_pc
-                self.instret += 1
-                continue
-            else:  # pragma: no cover - all opcodes handled above
-                raise NotImplementedError(f"opcode {op}")
-
-            regs[0] = 0
-            self.cycles += cost
-            self.instret += 1
-            self.pc = next_pc
-            if pc_profile is not None:
-                entry = pc_profile.get(pc)
-                if entry is None:
-                    entry = pc_profile[pc] = [0, 0]
-                entry[0] += cost
-                entry[1] += 1
-
-        return RunResult(STOP_HALT, self.cycles, self.instret)
 
     # -- telemetry ---------------------------------------------------------------
 

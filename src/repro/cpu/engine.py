@@ -1,15 +1,13 @@
 """Execution engines over pre-decoded programs.
 
-Two entry loops share the decode pass of :mod:`repro.isa.decoded` and
-the architectural/timing semantics of the reference interpreter
-(``Core._run_reference``):
+Two entry loops share the decode pass of :mod:`repro.isa.decoded`:
 
-* :func:`run_instrumented` — dispatches through :data:`HANDLERS` (one
-  small function per op family) and preserves the reference loop's
-  exact observable behaviour: the telemetry bundle's event hooks (one
-  ``is not None`` check per event site), interval samples, the PC
-  histogram and the region profile all fire at the same simulated
-  cycle with the same arguments.
+* :func:`run_instrumented` — the executable specification of the
+  timing model.  It dispatches through :data:`HANDLERS` (one small
+  function per op family) and carries every observation site: the
+  telemetry bundle's event hooks (one ``is not None`` check per event
+  site), interval samples, the PC histogram, the region profile and the
+  fault injector's boundary.
 * :func:`run_fast` — selected when nothing observes the core
   (``Core.observed``).  All flag checks are hoisted out of the
   per-instruction path, architectural and timing state live in locals,
@@ -21,7 +19,7 @@ the architectural/timing semantics of the reference interpreter
     marks slots whose lines have been fetched once; marked slots charge
     the pre-computed all-hit cost without touching the cache model.
     Hit counters are accumulated locally and flushed on exit, so cache
-    statistics stay bit-identical to the reference.
+    statistics stay bit-identical to the instrumented loop.
   - **SPM direct access**: aligned loads/stores inside the scratchpad
     window index the backing word list directly; anything else falls
     back to ``MemorySystem.read``/``write`` (same errors, same timing).
@@ -29,7 +27,9 @@ the architectural/timing semantics of the reference interpreter
 Both loops are resumable and idempotent: the fast loop syncs its locals
 back to the core in a ``finally`` block, so limit stops, blocking
 receives and even mid-instruction exceptions leave the core in exactly
-the state the reference interpreter would.
+the state the instrumented loop would.  ``tests/cpu`` holds the two to
+bit-identical state, and both to golden digests recorded from the
+original per-retire-decoding interpreter.
 """
 
 import math
@@ -99,7 +99,7 @@ _WRAP32 = 0x100000000
 # cycles beyond the fetch cost``.  Control flow, halt and the comm pair
 # are not in the table: they steer the loop (next pc, the comm port's
 # finish time, a blocking receive's early return), so the instrumented
-# loop keeps them inline, like the reference interpreter.
+# loop keeps them inline.
 
 def _h_addi(core, ex, regs):
     if ex.rd != 0:
@@ -321,14 +321,14 @@ HANDLERS[K_NOP] = _h_nop
 # -- instrumented loop ------------------------------------------------------
 
 def run_instrumented(core, max_instructions=None, max_cycles=None):
-    """Pre-decoded loop with full observability (reference-exact).
+    """Pre-decoded loop with full observability.
 
-    The structure of ``Core._run_reference`` — same limit/sample
-    checks, same hook call sites and arguments — with the per-retire
-    decode replaced by an :class:`ExecOp` slot lookup, the value-op
-    ladder by the :data:`HANDLERS` table, and a completed send/recv
-    retiring through the common tail with the comm port's
-    ``finish - start`` as its cost.
+    Per instruction: limit, interval-sample and injector checks, an
+    :class:`ExecOp` slot lookup, the fetch, then the op — value ops
+    through the :data:`HANDLERS` table, control flow and the comm pair
+    inline — and one common retire tail.  A send/recv starts at the
+    cycle its fetch completes and retires with the comm port's finish
+    time; a blocked recv charges its fetch stall once and returns.
     """
     decoded = core._ensure_decoded()
     ops = decoded.ops
@@ -416,30 +416,39 @@ def run_instrumented(core, max_instructions=None, max_cycles=None):
             base = regs[ex.rb]
             count = regs[ex.rd]
             values = memory.dump(base, count)  # NIC DMA bypasses the cache
-            start = core.cycles
+            start = core.cycles + fetch_stall  # the NIC waits for the fetch
             finish = core.comm.send(peer, values, start)
             core.stall_comm += finish - start - 1  # 1 = the issue slot
             if comm_send is not None:
                 comm_send(core.core_id, peer, count, start, finish,
                           core._recorder_counters())
-            cost = finish - start  # the comm port's timing replaces fetch
+            cost = finish - core.cycles
         elif kind == K_RECV:
             peer = regs[ex.ra]
             base = regs[ex.rb]
             count = regs[ex.rd]
-            result = core.comm.try_recv(peer, count, core.cycles)
+            start = core.cycles + fetch_stall
+            result = core.comm.try_recv(peer, count, start)
             if result is None:
+                # The fetch happened, so its stall is charged now, once:
+                # the retry finds the line resident.
+                if fetch_stall:
+                    core.cycles = start
+                    if pc_profile is not None:
+                        entry = pc_profile.get(pc)
+                        if entry is None:
+                            entry = pc_profile[pc] = [0, 0]
+                        entry[0] += fetch_stall
                 if comm_blocked is not None:
                     comm_blocked(core.core_id, peer, count, core.cycles)
                 return RunResult(STOP_RECV, core.cycles, core.instret)
             values, finish = result
             memory.load(base, values)  # NIC DMA bypasses the cache
-            start = core.cycles
             core.stall_comm += finish - start - 1  # 1 = the issue slot
             if comm_recv is not None:
                 comm_recv(core.core_id, peer, count, start, finish,
                           core._recorder_counters())
-            cost = finish - start
+            cost = finish - core.cycles
         else:  # pragma: no cover - all kinds handled above
             raise NotImplementedError(f"kind {kind}")
 
@@ -466,7 +475,7 @@ def run_fast(core, max_instructions=None, max_cycles=None):
     only selects it then); raises ``ValueError`` if forced onto an
     observed one.
     Produces bit-identical architectural state, cycles, stall
-    attribution and cache/SPM counters to the reference interpreter —
+    attribution and cache/SPM counters to :func:`run_instrumented` —
     the differential suite in ``tests/cpu`` holds it to that.
     """
     if core.observed:
@@ -774,8 +783,9 @@ def run_fast(core, max_instructions=None, max_cycles=None):
                 base = regs[t[5]]
                 count = regs[t[3]]
                 values = memory.dump(base, count)  # NIC DMA, cache bypass
-                finish = comm.send(peer, values, cycles)
-                stall_comm += finish - cycles - 1  # 1 = the issue slot
+                start = cycles + cost - 1  # the NIC waits for the fetch
+                finish = comm.send(peer, values, start)
+                stall_comm += finish - start - 1  # 1 = the issue slot
                 cycles = finish
                 instret += 1
                 pc += 1
@@ -784,12 +794,14 @@ def run_fast(core, max_instructions=None, max_cycles=None):
                 peer = regs[t[4]]
                 base = regs[t[5]]
                 count = regs[t[3]]
-                result = comm.try_recv(peer, count, cycles)
+                start = cycles + cost - 1
+                result = comm.try_recv(peer, count, start)
                 if result is None:
+                    cycles = start  # fetch stall charged once; retry hits
                     return RunResult(STOP_RECV, cycles, instret)
                 values, finish = result
                 memory.load(base, values)  # NIC DMA, cache bypass
-                stall_comm += finish - cycles - 1  # 1 = the issue slot
+                stall_comm += finish - start - 1  # 1 = the issue slot
                 cycles = finish
                 instret += 1
                 pc += 1
@@ -803,7 +815,7 @@ def run_fast(core, max_instructions=None, max_cycles=None):
     finally:
         # Idempotent write-back: limit stops, blocking receives and
         # mid-instruction exceptions all leave the core exactly where
-        # the reference interpreter would.
+        # the instrumented loop would.
         core.pc = pc
         core.cycles = cycles
         core.instret = instret

@@ -23,11 +23,11 @@ caches), and the merge step reassembles results in the submitted
 order — parallel and serial runs are byte-identical by construction,
 which ``--check-serial`` (and the CI smoke job) assert.
 
-A workload may pin ``"engine"`` (``auto``/``fast``/``instrumented``/
-``reference``, see :class:`repro.cpu.Core`) to force a particular
-execution loop — the differential harness uses this to diff sweep
-points between engines; the default ``auto`` picks the fast loop
-whenever the point records no telemetry.
+A workload may pin ``"engine"`` (``auto``/``fast``/``instrumented``,
+see :class:`repro.cpu.Core`) to force a particular execution loop —
+the differential harness uses this to diff sweep points between
+engines; the default ``auto`` picks the fast loop whenever the point
+records no telemetry.
 
 A workload with ``"telemetry": true`` additionally captures a per-point
 :class:`~repro.telemetry.Stats` registry (shipped across the process

@@ -80,13 +80,14 @@ class TestEngineFallback:
 
     def test_zero_fault_plan_bit_identical_across_engines(self):
         runs = {}
-        for engine in ("reference", "instrumented", "fast"):
+        for engine in ("instrumented", "fast"):
             core = make_core(COUNT_LOOP, injector=Injector(plan_of()),
                              engine=engine)
             outcome = core.run()
             assert outcome.reason == STOP_HALT
+            assert core.selected_engine() == engine
             runs[engine] = (core.cycles, core.instret, list(core.regs))
-        assert runs["reference"] == runs["instrumented"] == runs["fast"]
+        assert runs["instrumented"] == runs["fast"]
 
 
 class TestRegFlips:
@@ -116,13 +117,15 @@ class TestRegFlips:
         assert kinds == ["fault", "detect", "recover"]
 
     def test_same_engine_same_fault_same_result(self):
-        outcomes = []
-        for engine in ("reference", "instrumented"):
+        # An armed injector sends engine="fast" to the instrumented loop,
+        # so the engines cannot be diffed against each other here: both
+        # must reproduce the (cycles, instret, r2) the original
+        # per-retire-decoding interpreter recorded for this fault.
+        for engine in ("instrumented", "fast"):
             injector = Injector(plan_of(Fault("reg", cycle=50, reg=2, bit=4)))
             core = make_core(COUNT_LOOP, injector=injector, engine=engine)
             core.run()
-            outcomes.append((core.cycles, core.regs[2]))
-        assert outcomes[0] == outcomes[1]
+            assert (core.cycles, core.instret, core.regs[2]) == (232, 153, 166)
 
 
 class TestMemoryFlips:

@@ -2,10 +2,12 @@
 
 Property-based campaigns over randomly drawn injection plans: plans
 always survive serialization, zero-fault plans are bit-identical across
-all three execution engines, every campaign outcome lands in the
+both execution engines (and match the golden kernel digests), every campaign outcome lands in the
 four-class closed world, and a campaign's JSON report is byte-identical
 whether run serially or fanned out over workers.
 """
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -65,17 +67,21 @@ class TestZeroFaultIdentity:
     @given(kernel=st.sampled_from(["fir", "fft", "2dconv"]))
     def test_unarmed_injector_is_unobservable_across_engines(self, kernel):
         from repro.target import Target
+        from tests.cpu.test_engine_differential import full_state
+        from tests.cpu.test_engine_golden import GOLDEN, digest
 
+        golden = json.loads(GOLDEN.read_text())["kernels"][kernel]
         runs = {}
-        for engine in ("reference", "instrumented", "fast"):
+        for engine in ("instrumented", "fast"):
             injector = Injector(InjectionPlan(name="clean"))
-            run = Target.resolve(kernel, platform=DEFAULT_PLATFORM).run(
-                engine=engine, injector=injector)
+            target = Target.resolve(kernel, platform=DEFAULT_PLATFORM)
+            run = target.run(engine=engine, injector=injector)
             result, (core,) = run.outputs(), run.cores
             assert core.halted
             assert injector.events == []
             runs[engine] = (result, core.cycles, core.instret)
-        assert runs["reference"] == runs["instrumented"] == runs["fast"]
+            assert digest(full_state(core, target.kernel)) == golden, engine
+        assert runs["instrumented"] == runs["fast"]
 
 
 class TestCampaignProperties:

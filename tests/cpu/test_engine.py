@@ -1,10 +1,12 @@
 """Unit tests for the pluggable execution engines (fast/instrumented).
 
 The exhaustive state-equality checks live in
-``tests/cpu/test_engine_differential.py``; this file covers the engine
+``tests/cpu/test_engine_differential.py`` and
+``tests/cpu/test_engine_golden.py``; this file covers the engine
 *plumbing*: selection, decode caching, the resident-line memo's
 eligibility rule, typed off-end errors, and the fast loop's deferred
-state sync across resumable slices.
+state sync across resumable slices.  "Reference" below is the
+instrumented loop, the timing model's executable specification.
 """
 
 import pytest
@@ -34,11 +36,18 @@ def make_core(source, engine="auto", **kwargs):
 
 class TestEngineSelection:
     def test_engines_tuple(self):
-        assert ENGINES == ("auto", "fast", "instrumented", "reference")
+        assert ENGINES == ("auto", "fast", "instrumented")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             make_core("halt", engine="turbo")
+
+    def test_removed_reference_engine_rejected(self):
+        # The original per-retire-decoding interpreter is gone; its
+        # verdicts live on as tests/cpu/golden_engine.json.
+        removed = "reference"
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_core("halt", engine=removed)
 
     def test_auto_resolves_to_fast_without_observability(self):
         assert make_core("halt").selected_engine() == "fast"
@@ -57,8 +66,8 @@ class TestEngineSelection:
         assert core.selected_engine() == "instrumented"
 
     def test_explicit_engine_wins(self):
-        core = make_core("halt", engine="reference")
-        assert core.selected_engine() == "reference"
+        core = make_core("halt", engine="instrumented")
+        assert core.selected_engine() == "instrumented"
 
     def test_fast_engine_refuses_observability(self):
         core = make_core("halt", engine="fast", profile=True)
@@ -72,7 +81,7 @@ class TestEngineSelection:
 
 
 class TestExecutionError:
-    @pytest.mark.parametrize("engine", ["reference", "instrumented", "fast"])
+    @pytest.mark.parametrize("engine", ["instrumented", "fast"])
     def test_off_end_carries_context(self, engine):
         core = Core(assemble("nop", name="runaway"), MemorySystem.stitch(),
                     engine=engine, core_id=7)
@@ -90,7 +99,7 @@ class TestExecutionError:
         # working.
         assert issubclass(ExecutionError, IndexError)
 
-    @pytest.mark.parametrize("engine", ["reference", "instrumented", "fast"])
+    @pytest.mark.parametrize("engine", ["instrumented", "fast"])
     def test_negative_pc_raises_instead_of_wrapping(self, engine):
         # jr to a negative pc must not silently wrap-index the program
         # (the old interpreter did); a negative fetch would also poison
@@ -134,10 +143,10 @@ class TestResidentMemo:
     def test_oversized_code_falls_back_to_real_fetches(self):
         # 8 KB I$ holds 2048 words; a bigger image can evict, so the
         # memo must disable itself — and timing must still match the
-        # reference interpreter exactly.
+        # instrumented loop (which never memoizes) exactly.
         body = "addi r1, r1, 1\n" * 2100 + "halt"
         fast = make_core(body, engine="fast")
-        ref = make_core(body, engine="reference")
+        ref = make_core(body, engine="instrumented")
         fast.run()
         ref.run()
         assert not fast._decoded.resident_ok
@@ -147,7 +156,7 @@ class TestResidentMemo:
 
     def test_memo_flushes_exact_hit_counts(self):
         fast = make_core(LOOP, engine="fast")
-        ref = make_core(LOOP, engine="reference")
+        ref = make_core(LOOP, engine="instrumented")
         fast.run()
         ref.run()
         assert fast.memory.icache.hits == ref.memory.icache.hits
@@ -186,7 +195,7 @@ class TestFastLoopStateSync:
 
     def test_spm_unaligned_store_matches_reference(self):
         source = f"movi r1, {SPM_BASE + 2}\nsw r1, 0(r1)\nhalt"
-        for engine in ("fast", "reference"):
+        for engine in ("fast", "instrumented"):
             with pytest.raises(ValueError, match="unaligned"):
                 make_core(source, engine=engine).run()
 
@@ -196,7 +205,7 @@ class TestFastLoopStateSync:
             "lw r3, 0(r1)\nlw r4, 0(r1)\nhalt"
         )
         fast = make_core(source, engine="fast")
-        ref = make_core(source, engine="reference")
+        ref = make_core(source, engine="instrumented")
         fast.run()
         ref.run()
         assert fast.regs[3] == ref.regs[3] == 42
@@ -210,7 +219,7 @@ class TestSystemThreading:
         from repro.sim.system import StitchSystem
 
         assert StitchSystem().engine == "auto"
-        assert StitchSystem(engine="reference").engine == "reference"
+        assert StitchSystem(engine="instrumented").engine == "instrumented"
 
     def test_build_system_forwards_engine(self):
         import inspect

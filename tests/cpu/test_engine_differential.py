@@ -1,15 +1,17 @@
-"""Differential suite: the dispatch engines vs the reference interpreter.
+"""Differential suite: the fast loop vs the instrumented loop.
 
-``Core._run_reference`` is the executable specification of the cycle
-model; ``repro.cpu.engine`` re-implements it twice (instrumented
-dispatch loop, pre-decoded fast loop).  These tests pin all three to
-bit-identical *complete* final state — registers, cycles, instret,
-every stall counter, cache/SPM/DRAM counters and contents, and the
-kernel's computed result — over the full Figure 11 suite, both as
-plain scalar binaries and as compiled artifacts executing custom
-instructions through a :class:`PatchExecutor`.
+``repro.cpu.engine.run_instrumented`` is the executable specification
+of the cycle model and ``run_fast`` an independent re-implementation.
+These tests pin the two to bit-identical *complete* final state —
+registers, cycles, instret, every stall counter, cache/SPM/DRAM
+counters and contents, and the kernel's computed result — over the
+full Figure 11 suite, both as plain scalar binaries and as compiled
+artifacts executing custom instructions through a
+:class:`PatchExecutor`.
 
-Any timing-model edit that touches only one loop fails here first.
+Any timing-model edit that touches only one loop fails here first; an
+edit that touches both alike fails the golden digests of
+``tests/cpu/test_engine_golden.py``.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from repro.cpu.core import Core, STOP_HALT
 from repro.mem.hierarchy import MemorySystem
 from repro.workloads import KERNEL_FACTORIES, make_kernel
 
-ENGINES = ("reference", "instrumented", "fast")
+ENGINES = ("instrumented", "fast")
 
 #: Kernels whose hot loops map onto patches: one single-patch and one
 #: fused option each, so the cix path (including LMAU loads and fused
@@ -34,8 +36,9 @@ COMPILED_CASES = [
 ]
 
 
-def full_state(core, kernel):
-    """Everything an engine can get wrong, in one comparable dict."""
+def full_state(core, kernel=None):
+    """Everything an engine can get wrong, in one comparable dict
+    (plus ``kernel``'s computed result when given)."""
     memory = core.memory
     state = {
         "regs": list(core.regs),
@@ -60,7 +63,8 @@ def full_state(core, kernel):
                         list(memory.spm._words))
     # Last: result() may dump memory untimed, so counters are already
     # captured above.
-    state["result"] = kernel.result(core)
+    if kernel is not None:
+        state["result"] = kernel.result(core)
     return state
 
 
@@ -80,18 +84,16 @@ def run_engine(kernel, program, engine, cfg_table=None, replica=None):
 
 
 def assert_states_equal(states, context):
-    reference = states["reference"]
-    for engine in ENGINES[1:]:
-        other = states[engine]
-        diverged = [key for key in reference if other[key] != reference[key]]
-        assert not diverged, (
-            f"{context}: engine {engine!r} diverged from reference on "
-            f"{diverged}: "
-            + ", ".join(
-                f"{key}={reference[key]!r} vs {other[key]!r}"
-                for key in diverged[:3]
-            )
+    spec = states["instrumented"]
+    fast = states["fast"]
+    diverged = [key for key in spec if fast[key] != spec[key]]
+    assert not diverged, (
+        f"{context}: the fast loop diverged from the instrumented one on "
+        f"{diverged}: "
+        + ", ".join(
+            f"{key}={spec[key]!r} vs {fast[key]!r}" for key in diverged[:3]
         )
+    )
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
@@ -103,9 +105,9 @@ def test_scalar_kernel_state_identical(name):
     assert_states_equal(states, f"kernel {name}")
 
 
-@pytest.mark.parametrize("name,option_name", COMPILED_CASES,
-                         ids=[f"{k}-{o}" for k, o in COMPILED_CASES])
-def test_compiled_kernel_state_identical(name, option_name):
+def compiled_states(name, option_name, engines):
+    """``{engine: full_state}`` of ``name`` compiled for ``option_name``
+    and run through a :class:`PatchExecutor` on each engine."""
     from repro.compiler.driver import ALL_OPTIONS, KernelCompiler
 
     option = next(o for o in ALL_OPTIONS if o.name == option_name)
@@ -114,7 +116,7 @@ def test_compiled_kernel_state_identical(name, option_name):
     if not compiled.cfg_table:
         pytest.skip(f"{name} maps nothing onto {option_name}")
     states = {}
-    for engine in ENGINES:
+    for engine in engines:
         kernel = make_kernel(name, seed=1)
         replica = None
         if compiled.replicated_regions:
@@ -125,12 +127,19 @@ def test_compiled_kernel_state_identical(name, option_name):
             kernel, compiled.program, engine,
             cfg_table=compiled.cfg_table, replica=replica,
         )
+        assert states[engine]["cix_retired"] > 0
+    return states
+
+
+@pytest.mark.parametrize("name,option_name", COMPILED_CASES,
+                         ids=[f"{k}-{o}" for k, o in COMPILED_CASES])
+def test_compiled_kernel_state_identical(name, option_name):
+    states = compiled_states(name, option_name, ENGINES)
     assert_states_equal(states, f"compiled {name} @ {option_name}")
-    assert states["reference"]["cix_retired"] > 0
 
 
 def test_fast_loop_is_actually_faster():
-    # Not a timing gate (benchmarks/interp_speed.py owns that) — just a
+    # Not a timing gate (`repro bench --host` owns that) — just a
     # sanity check that the fast path engages on a real kernel: the
     # resident memo must have skipped most fetches.
     kernel = make_kernel("fir", seed=1)

@@ -1,14 +1,20 @@
 """Property-based differential testing: fast loop vs reference.
 
-Hypothesis generates random straight-line bodies and counted loops
-over the scalar ISA (ALU, shifts, SPM loads/stores) and asserts the
-pre-decoded fast loop finishes in *exactly* the reference
-interpreter's state — registers, cycles, instret, every stall bucket,
-and the cache/SPM counters.  The fixed-kernel suite in
+The reference is the instrumented loop, the executable specification
+of the timing model.  Hypothesis generates random straight-line bodies
+and counted loops over the scalar ISA (ALU, shifts, SPM loads/stores)
+and asserts the fast loop finishes in *exactly* the instrumented
+loop's state — registers, cycles, instret, every stall bucket, and the
+cache/SPM counters.  The fixed-kernel suite in
 ``tests/cpu/test_engine_differential.py`` covers realistic programs;
 this one hunts the weird corners (unwrapped MOVI values feeding
 shifts, r0 writes, back-to-back taken branches) the kernels never
-emit.
+emit.  Both loops share the decode pass, so two further checks stand
+outside it: ``tests/cpu/test_engine_golden.py`` replays a seeded
+corpus of the same op mix against digests recorded from the original
+per-retire-decoding interpreter, and
+``tests/property/test_op_semantics.py`` checks each op against the
+undecoded ``eval_*`` semantics.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -65,7 +71,7 @@ loop_safe = instruction(dest=st.integers(min_value=0, max_value=11))
 
 def run_both(source, init_regs, spm_words):
     states = []
-    for engine in ("reference", "fast"):
+    for engine in ("instrumented", "fast"):
         memory = MemorySystem.stitch()
         memory.load(SPM_BASE, spm_words)
         core = Core(assemble(source), memory, engine=engine)
@@ -98,8 +104,8 @@ class TestFastVsReference:
     )
     def test_straight_line(self, body, init_regs, spm_words):
         source = "\n".join(body + ["halt"])
-        reference, fast = run_both(source, init_regs, spm_words)
-        assert fast == reference
+        spec, fast = run_both(source, init_regs, spm_words)
+        assert fast == spec
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -116,8 +122,8 @@ class TestFastVsReference:
             + body
             + ["addi r12, r12, 1", "bne r12, r13, loop", "halt"]
         )
-        reference, fast = run_both(source, init_regs, spm_words)
-        assert fast == reference
+        spec, fast = run_both(source, init_regs, spm_words)
+        assert fast == spec
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(instruction(), min_size=1, max_size=10))
@@ -126,7 +132,7 @@ class TestFastVsReference:
         # deferred write-back must still leave identical partial state.
         source = "\n".join(body * 3 + ["halt"])
         states = []
-        for engine in ("reference", "fast"):
+        for engine in ("instrumented", "fast"):
             core = Core(assemble(source), MemorySystem.stitch(),
                         engine=engine)
             core.regs[14] = SPM_BASE
