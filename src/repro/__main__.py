@@ -70,21 +70,25 @@ def cmd_kernels(_args):
         print(f"{name:12s} {profile.instructions:12d} {profile.cycles:10d}  {doc}")
 
 
+def _patch_options(name):
+    """All 12 Stitch options plus LOCUS, or only the one called ``name``."""
+    from repro.compiler.driver import ALL_OPTIONS, LOCUS_OPTION
+
+    options = ALL_OPTIONS + (LOCUS_OPTION,)
+    if name:
+        options = tuple(o for o in options if o.name == name)
+        if not options:
+            sys.exit(f"unknown option {name!r}")
+    return options
+
+
 def cmd_compile(args):
-    from repro.compiler.driver import (
-        ALL_OPTIONS,
-        KernelCompiler,
-        LOCUS_OPTION,
-    )
+    from repro.compiler.driver import KernelCompiler
     from repro.workloads import make_kernel
 
+    options = _patch_options(args.option)
     kernel = make_kernel(args.kernel, seed=args.seed)
     compiler = KernelCompiler(kernel, allow_replication=not args.no_replication)
-    options = ALL_OPTIONS + (LOCUS_OPTION,)
-    if args.option:
-        options = tuple(o for o in options if o.name == args.option)
-        if not options:
-            sys.exit(f"unknown option {args.option!r}")
     print(f"{args.kernel}: baseline {compiler.baseline_cycles} cycles")
     for option in options:
         compiled = compiler.compile(option)
@@ -479,22 +483,14 @@ def _verify_platform(spec):
 def _explain_kernel(target, args):
     import json
 
-    from repro.compiler.driver import (
-        ALL_OPTIONS,
-        KernelCompiler,
-        LOCUS_OPTION,
-    )
+    from repro.compiler.driver import KernelCompiler
     from repro.provenance import CompileReport, dfg_dot
     from repro.verify import check_compile_report
 
+    options = _patch_options(args.option)
     report = CompileReport(target.name)
     compiler = KernelCompiler(target.kernel, allow_replication=True,
                               report=report)
-    options = ALL_OPTIONS + (LOCUS_OPTION,)
-    if args.option:
-        options = tuple(o for o in options if o.name == args.option)
-        if not options:
-            sys.exit(f"unknown option {args.option!r}")
     compiled = compiler.compile_options(options)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -18,8 +18,6 @@ loop on the same host, same process) additionally gates against a
 floor.
 """
 
-import statistics
-
 SCHEMA_VERSION = 1
 
 #: The fixed kernel trio: FIR (dense MAC loop), FFT (butterflies +
@@ -43,22 +41,39 @@ ENGINES = ("instrumented", "fast")
 DEFAULT_TOLERANCE = 0.10
 
 
-def _measure(name, engine, repeats, seed, items):
-    """Simulated instructions and median simulation-loop host seconds."""
+def _measure(name, repeats, seed, items):
+    """``(instructions, {engine: min loop seconds})``.  Each repeat runs
+    both engines back to back, alternating their order, so host-load
+    swings land on both; the min is each engine's least-disturbed run."""
     from repro.target import Target
 
     target = Target.resolve(name, seed=seed)
-    times = []
-    for _ in range(repeats):
-        run = target.run(items=items, engine=engine)
-        times.append(run.host_seconds)
-    return sum(core.instret for core in run.cores), statistics.median(times)
+    counts = set()
+    times = {engine: [] for engine in ENGINES}
+    for repeat in range(repeats):
+        for engine in ENGINES if repeat % 2 == 0 else ENGINES[::-1]:
+            run = target.run(items=items, engine=engine)
+            counts.add(sum(core.instret for core in run.cores))
+            times[engine].append(run.host_seconds)
+    if len(counts) != 1:
+        raise RuntimeError(
+            f"{name!r}: engines disagree on instruction count "
+            f"{sorted(counts)} — cycle-exactness broke; run the "
+            f"differential suite"
+        )
+    return counts.pop(), {engine: min(times[engine]) for engine in ENGINES}
 
 
-def _speedup(row):
+def _rates(instructions, seconds):
+    row = {
+        f"{engine}_instr_per_second":
+            round(instructions / seconds[engine]) if seconds[engine] else None
+        for engine in ENGINES
+    }
     spec = row["instrumented_instr_per_second"]
     fast = row["fast_instr_per_second"]
-    return round(fast / spec, 3) if spec and fast else None
+    row["fast_speedup"] = round(fast / spec, 3) if spec and fast else None
+    return row
 
 
 def bench_host(kernels=HOST_KERNELS, app=HOST_APP, repeats=3, seed=1,
@@ -68,36 +83,20 @@ def bench_host(kernels=HOST_KERNELS, app=HOST_APP, repeats=3, seed=1,
     Returns the ``BENCH_host.json`` payload: per-target instruction
     counts and throughputs per engine plus the ``fast_speedup`` ratio
     (fast / instrumented), and the same three figures in aggregate
-    (total instructions / total median time).
+    (total instructions / total of the per-target minimum times).
     """
-    targets = {}
-    totals = {engine: [0, 0.0] for engine in ENGINES}  # instr, seconds
-    for name in tuple(kernels) + ((app,) if app else ()):
-        row = {}
-        for engine in ENGINES:
-            instructions, seconds = _measure(name, engine, repeats, seed,
-                                             items)
-            if row.get("instructions", instructions) != instructions:
-                raise RuntimeError(
-                    f"{name!r}: engines disagree on instruction count "
-                    f"({row['instructions']} vs {instructions}) — "
-                    f"cycle-exactness broke; run the differential suite"
-                )
-            row["instructions"] = instructions
-            row[f"{engine}_instr_per_second"] = round(
-                instructions / seconds
-            ) if seconds else None
-            totals[engine][0] += instructions
-            totals[engine][1] += seconds
-        row["fast_speedup"] = _speedup(row)
-        targets[name] = row
-    aggregate = {}
-    for engine in ENGINES:
-        instructions, seconds = totals[engine]
-        aggregate[f"{engine}_instr_per_second"] = round(
-            instructions / seconds
-        ) if seconds else None
-    aggregate["fast_speedup"] = _speedup(aggregate)
+    measured = {
+        name: _measure(name, repeats, seed, items)
+        for name in tuple(kernels) + ((app,) if app else ())
+    }
+    targets = {
+        name: dict(_rates(instructions, seconds), instructions=instructions)
+        for name, (instructions, seconds) in measured.items()
+    }
+    aggregate = _rates(
+        sum(instructions for instructions, _ in measured.values()),
+        {e: sum(s[e] for _, s in measured.values()) for e in ENGINES},
+    )
     return {
         "bench": "host",
         "schema": SCHEMA_VERSION,

@@ -4,8 +4,8 @@ For every kernel the tool chain produces one executable version per
 *patch option* — the patch (or fused pair) the kernel's tile could be
 granted — and measures each version by actually simulating it
 (Figure 6: "multiple executable versions of the original kernel").
-Every accelerated version is validated bit-exactly against the
-unmodified kernel before its speedup is trusted.
+Every version is validated bit-exactly against the profile run, the
+one run of the unmodified kernel, on the platform it is measured on.
 
 The stitcher (:mod:`repro.core.stitching`) later picks one version per
 kernel chip-wide.
@@ -27,6 +27,7 @@ from repro.core.executor import PatchExecutor
 from repro.core.patches import AT_AS, AT_MA, AT_SA, LOCUS_SFU
 from repro.cpu.core import Core, STOP_HALT
 from repro.mem.hierarchy import MemorySystem
+from repro.platform import DEFAULT_PLATFORM
 from repro.provenance.records import NULL_REPORT, EnumerationLog
 
 
@@ -189,9 +190,9 @@ class KernelCompiler:
         self.kernel = kernel
         self.hot_threshold = hot_threshold
         self.max_instructions = max_instructions
-        # Platform the measured versions are simulated on (None = the
-        # stitch preset; sweeps pass alternative configurations).
-        self.platform = platform
+        # Platform the kernel is profiled and every version measured on
+        # (None = the stitch preset; sweeps pass alternative configs).
+        self.platform = platform if platform is not None else DEFAULT_PLATFORM
         # Opt-in static verification: every compiled artifact must pass
         # the repro.verify ISE checks (and the kernel body its lint)
         # before it is returned or cached.
@@ -206,10 +207,18 @@ class KernelCompiler:
         self.max_inputs = max_inputs
         self.max_outputs = max_outputs
         self.allow_replication = allow_replication
+        profiled = []  # the setup hook lends out the profiled core
+
+        def setup(core):
+            kernel.setup(core)
+            profiled.append(core)
+
         with self.report.phase("profile"):
             self.profile = profile_kernel(
-                kernel.program, kernel.setup, max_instructions=max_instructions
+                kernel.program, setup, platform=self.platform,
+                max_instructions=max_instructions,
             )
+        self._reference = kernel.result(profiled.pop())
         self.baseline_cycles = self.profile.cycles
         self.report.baseline_cycles = self.baseline_cycles
         exit_live = getattr(kernel, "live_out_regs", None)
@@ -224,17 +233,10 @@ class KernelCompiler:
             self.profile.replicable_loads(const_regions)
             if allow_replication and const_regions else {}
         )
-        with self.report.phase("reference"):
-            self._reference = self._run(kernel.program, cfg_table=None)[1]
         self._cache = {}
         self._enumerations = {}  # (block, max_inputs, max_outputs) -> memo
 
     # -- execution ------------------------------------------------------------
-
-    def _memory(self):
-        if self.platform is None:
-            return MemorySystem.stitch()
-        return MemorySystem(self.platform.mem)
 
     def _replica_memory(self, cfg_table):
         """A stand-in remote scratchpad preloaded with the replicated
@@ -243,25 +245,24 @@ class KernelCompiler:
 
         needs = any(
             isinstance(cfg, FusedConfig) and cfg.cfg_b.uses_lmau()
-            for cfg in cfg_table or ()
+            for cfg in cfg_table
         )
         if not needs:
             return None
-        replica = self._memory()
+        replica = MemorySystem(self.platform.mem)
         for region, words in getattr(self.kernel, "consts", []):
             replica.load(region.addr, words)
         return replica
 
     def _run(self, program, cfg_table):
-        memory = self._memory()
+        memory = MemorySystem(self.platform.mem)
         patch = None
         if cfg_table:
             patch = PatchExecutor(
                 cfg_table, memory,
                 replica_memory=self._replica_memory(cfg_table),
             )
-        core_params = None if self.platform is None else self.platform.core
-        core = Core(program, memory, patch=patch, params=core_params)
+        core = Core(program, memory, patch=patch, params=self.platform.core)
         self.kernel.setup(core)
         outcome = core.run(max_instructions=self.max_instructions)
         if outcome.reason != STOP_HALT:
@@ -405,7 +406,7 @@ class KernelCompiler:
         )
         check_dataflow(
             compiled.program,
-            mem=self.platform.mem if self.platform is not None else None,
+            mem=self.platform.mem,
             cfg_table=compiled.cfg_table,
             exit_live=self.kernel.live_out_regs,
             report=report,

@@ -10,6 +10,7 @@ window; only such operations may join a custom instruction
 
 from repro.cpu.core import Core, STOP_HALT
 from repro.mem.hierarchy import MemorySystem
+from repro.platform import DEFAULT_PLATFORM
 
 HOT_THRESHOLD = 0.05
 
@@ -86,15 +87,16 @@ class ProfileResult:
         return hot
 
 
-def profile_kernel(program, setup=None, memory=None, max_instructions=5_000_000):
-    """Run ``program`` once with profiling and summarize.
+def profile_kernel(program, setup=None, platform=DEFAULT_PLATFORM,
+                   max_instructions=5_000_000):
+    """Run ``program`` once on a ``platform`` tile, profiling; summarize.
 
     ``setup(core)`` initializes memory contents and registers.  Raises
     if the kernel does not halt within ``max_instructions`` — profiling
     needs a terminating run.
     """
-    memory = memory if memory is not None else MemorySystem.stitch()
-    core = Core(program, memory, profile=True)
+    core = Core(program, MemorySystem(platform.mem), profile=True,
+                params=platform.core)
     if setup is not None:
         setup(core)
     result = core.run(max_instructions=max_instructions)

@@ -5,8 +5,8 @@ which DFG subgraphs become ISE candidates, which candidates are
 committed as custom instructions, and which executable version each
 patch option yields.  A :class:`CompileReport` records all of them:
 
-* per-phase wall-time spans (profile/liveness/reference at the kernel
-  level; enumerate/select/rewrite/measure/validate per option), mirrored
+* per-phase wall-time spans (profile/liveness at the kernel level;
+  enumerate/select/rewrite/measure/validate per option), mirrored
   into a :class:`repro.telemetry.Stats` registry and onto a
   :class:`repro.telemetry.Tracer` ``compiler`` track,
 * per hot block, the enumeration tally (subgraphs visited, rejections by

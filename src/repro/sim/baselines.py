@@ -24,6 +24,7 @@ from repro.compiler.driver import (
 from repro.core.placement import DEFAULT_PLACEMENT, Placement
 from repro.core.stitching import BASELINE, stitch_application, stitch_best
 from repro.noc.topology import Mesh
+from repro.platform import DEFAULT_PLATFORM
 from repro.sim.pipeline_model import PipelineModel, StageTiming
 from repro.sim.streaming import wrap_streaming
 from repro.sim.system import StitchSystem
@@ -49,9 +50,9 @@ def compile_kernel_options(kernel, options=None, allow_replication=False,
     """Cycle table + compiled programs for one kernel (cached).
 
     Returns ``(cycles: {name: cycles}, compiled: {name: CompiledKernel})``
-    with ``cycles["baseline"]`` included.  ``platform`` keys the cache
-    too (via :meth:`~repro.platform.PlatformConfig.cache_key`), so
-    sweeps over memory/NoC configurations never share measurements.
+    with ``cycles["baseline"]`` included.  ``platform`` (None: the stitch
+    preset) keys the cache via :meth:`~repro.platform.PlatformConfig.cache_key`,
+    so sweeps over memory/NoC configurations never share measurements.
 
     Const-region replication defaults off: placing a replica needs free
     space at the region's address in the *remote* tile's scratchpad,
@@ -62,7 +63,7 @@ def compile_kernel_options(kernel, options=None, allow_replication=False,
     options = options if options is not None else ALL_OPTIONS + (LOCUS_OPTION,)
     key = (_structural_key(kernel), tuple(o.name for o in options),
            allow_replication,
-           platform.cache_key() if platform is not None else None)
+           (platform or DEFAULT_PLATFORM).cache_key())
     if key not in _COMPILE_CACHE:
         compiler = KernelCompiler(kernel, allow_replication=allow_replication,
                                   platform=platform)

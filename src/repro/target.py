@@ -66,7 +66,7 @@ class Target:
             from repro.sim.baselines import AppEvaluator
 
             # The evaluator gets the caller's platform as given: None
-            # keeps the default placement and compile-cache key.
+            # keeps the default placement.
             app = APP_FACTORIES[canonical](seed=seed)
             return cls(canonical, platform,
                        evaluator=AppEvaluator(app, platform=platform))

@@ -99,7 +99,7 @@ class TestVersions:
 class TestPhases:
     def test_kernel_level_phases(self, fir_report):
         assert [span.name for span in fir_report.phases] == [
-            "profile", "liveness", "reference",
+            "profile", "liveness",
         ]
 
     def test_per_version_phases(self, fir_report):

@@ -24,8 +24,14 @@ class TestCli:
         assert "x" in out
 
     def test_compile_unknown_option_exits(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["compile", "fir", "--option", "NOPE"])
+        assert exc.value.code == "unknown option 'NOPE'"
+
+    def test_explain_unknown_option_exits(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "fir", "--option", "NOPE"])
+        assert exc.value.code == "unknown option 'NOPE'"
 
     def test_unknown_app_exits(self):
         with pytest.raises(SystemExit):
