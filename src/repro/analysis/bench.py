@@ -123,10 +123,11 @@ def _fan_out(worker, names, seed, workers):
     """Per-item process fan-out with a deterministic, submission-ordered
     merge (and ``write_bench`` sorts keys on disk anyway).
 
-    Every item is an independent measurement (the in-process compile
-    caches only ever dedupe *within* one item), so farming items out to
-    fresh processes produces bit-identical simulated numbers — only the
-    wall-clock fields (never compared) differ from a serial run.
+    Every item is an independent measurement (Fig. 11 rows bypass the
+    compile store, whose entries are pure functions of their keys), so
+    farming items out to fresh processes produces bit-identical
+    simulated numbers — only the wall-clock fields (never compared)
+    differ from a serial run.
     """
     if workers is not None and workers > 1 and len(names) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -10,7 +10,7 @@ from repro.analysis.tables import render_table
 from repro.compiler.driver import KernelCompiler, SINGLE_OPTIONS
 from repro.core import AT_AS, AT_MA, AT_SA, FusionTiming, Placement
 from repro.mem.spm import SPM_BASE
-from repro.sim.baselines import ARCH_STITCH, AppEvaluator
+from repro.sim.baselines import ARCH_STITCH, AppEvaluator, compile_kernel_options
 from repro.workloads import kernel_suite, make_kernel
 from repro.workloads.apps import app1_gesture
 
@@ -104,11 +104,14 @@ def run_ablation_ports(seed=1, names=("fir", "update", "2dconv", "histogram")):
     rows = []
     ratios = []
     for name in names:
-        kernel_wide = make_kernel(name, seed=seed)
-        wide = KernelCompiler(kernel_wide).best_option(SINGLE_OPTIONS)
-        kernel_narrow = make_kernel(name, seed=seed)
+        kernel = make_kernel(name, seed=seed)
+        _, versions = compile_kernel_options(
+            kernel, options=SINGLE_OPTIONS, allow_replication=True
+        )
+        wide = max(versions.values(), key=lambda c: c.speedup)
+        # The store keys only the default 4/2 budget.
         narrow = KernelCompiler(
-            kernel_narrow, max_inputs=2, max_outputs=1
+            kernel, max_inputs=2, max_outputs=1
         ).best_option(SINGLE_OPTIONS)
         ratios.append(wide.speedup / narrow.speedup)
         rows.append((name, round(narrow.speedup, 2), round(wide.speedup, 2)))
@@ -132,7 +135,6 @@ def run_ablation_replication(seed=1, names=("2dconv", "svm", "fir", "classify"))
     LMAU.  This ablation measures what that is worth per kernel.
     """
     from repro.compiler.driver import ALL_OPTIONS
-    from repro.sim.baselines import compile_kernel_options
     from repro.core.stitching import BASELINE
 
     report = ExperimentReport(

@@ -30,15 +30,6 @@ PAPER_TABLE1 = {
 PAPER_FIG14 = {"perf/W": 1.77, "perf/area": 2.28}
 PAPER_FIG15 = {"throughput": 1.65, "perf/W": 6.04}
 
-_EVALUATORS = {}
-
-
-def evaluator_for(app):
-    if app.name not in _EVALUATORS:
-        _EVALUATORS[app.name] = AppEvaluator(app)
-    return _EVALUATORS[app.name]
-
-
 def _geomean(values):
     product = 1.0
     for value in values:
@@ -54,7 +45,7 @@ def run_fig12_app_throughput(seed=1):
     rows = []
     per_arch = {arch: [] for arch in ARCHITECTURES}
     for app in all_apps(seed=seed):
-        speedups = evaluator_for(app).normalized_throughputs()
+        speedups = AppEvaluator(app).normalized_throughputs()
         rows.append((app.name,) + tuple(
             round(speedups[arch], 2) for arch in ARCHITECTURES
         ))
@@ -88,7 +79,7 @@ def run_fig10_fusion_maps(seed=1):
     sections = []
     fused_counts = {}
     for app in all_apps(seed=seed):
-        plan = evaluator_for(app).plan(ARCH_STITCH)
+        plan = AppEvaluator(app).plan(ARCH_STITCH)
         fused_counts[app.name] = len(plan.fused_pairs())
         sections.append(
             f"--- {app.name} ---\n"
@@ -133,7 +124,7 @@ def run_fig13_time_breakdown(seed=1):
     patch_shares = []
     for app in all_apps(seed=seed):
         telemetry = Telemetry()
-        system, _ = evaluator_for(app).build_system(
+        system, _ = AppEvaluator(app).build_system(
             ARCH_STITCH, items=2, telemetry=telemetry
         )
         results = system.run()
@@ -168,7 +159,7 @@ def run_fig13_time_breakdown(seed=1):
 
 def gesture_platforms(seed=1):
     """The four Table I platforms with our measured Stitch timings."""
-    evaluator = evaluator_for(app1_gesture(seed=seed))
+    evaluator = AppEvaluator(app1_gesture(seed=seed))
     freq = 200e6
 
     def per_gesture_ms(arch):
@@ -241,7 +232,7 @@ def run_fig14_efficiency(seed=1):
     rows = []
     ppws, ppas = [], []
     for app in all_apps(seed=seed):
-        speedup = evaluator_for(app).normalized_throughputs()[ARCH_STITCH]
+        speedup = AppEvaluator(app).normalized_throughputs()[ARCH_STITCH]
         ppw = model.perf_per_watt_vs_baseline(speedup)
         ppa = model.perf_per_area_vs_baseline(speedup)
         ppws.append(ppw)
@@ -279,7 +270,7 @@ def run_fig15_vs_wearables(seed=1):
     rows = []
     tputs, ppws = [], []
     for app in all_apps(seed=seed):
-        evaluator = evaluator_for(app)
+        evaluator = AppEvaluator(app)
         stitch_cycles = evaluator.cycles_per_item(ARCH_STITCH)
         base_cycles = evaluator.cycles_per_item(ARCH_BASELINE)
         stitch_time = stitch_cycles / 200e6

@@ -30,14 +30,11 @@ PAPER_SPM_DEGRADATION = 0.015
 PAPER_FREQ_PERF = 1.03       # Section VI-D: Stitch@200 vs LOCUS@400
 
 
-def _suite_tables(names=FIG11_KERNELS, seed=1, allow_replication=True):
+def _suite_tables(names=FIG11_KERNELS, seed=1):
     tables = {}
     for name in names:
         kernel = make_kernel(name, seed=seed)
-        cycles, _ = compile_kernel_options(
-            kernel, allow_replication=allow_replication
-        )
-        tables[name] = cycles
+        tables[name], _ = compile_kernel_options(kernel, allow_replication=True)
     return tables
 
 

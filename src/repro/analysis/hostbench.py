@@ -16,7 +16,16 @@ with a generous relative tolerance and only fails on *drops*; the
 machine-independent ``fast_speedup`` ratio (fast loop vs instrumented
 loop on the same host, same process) additionally gates against a
 floor.
+
+Throughputs are per *reference* second: a fixed calibration chunk,
+independent of the simulator, is timed around every repeat and scales
+its engine times to the speed of the host the baseline was recorded on,
+so a shared host's speed swings cancel while an engine change still
+shows in full.
 """
+
+import statistics
+import time
 
 SCHEMA_VERSION = 1
 
@@ -41,20 +50,49 @@ ENGINES = ("instrumented", "fast")
 DEFAULT_TOLERANCE = 0.10
 
 
+#: Median time of the calibration chunk on the host the committed
+#: baseline was recorded on (a 2-vCPU x86 VM under CPython 3.11).
+CALIBRATION_REF_S = 0.004
+_CHUNK = tuple((i % 3, i % 8, i * 5 % 8, i) for i in range(48))
+
+
+def _host_scale():
+    """``CALIBRATION_REF_S`` over the median of three timings of a fixed
+    register-machine loop: 1.0 at the reference speed, lower if slowed."""
+    durations = []
+    for _ in range(3):
+        start = time.perf_counter()
+        regs = [0] * 8
+        for step in range(24000):
+            op, dst, src, imm = _CHUNK[step % 48]
+            if op == 0:
+                regs[dst] = (regs[src] + imm) & 0xFFFFFFFF
+            elif regs[dst] < regs[src]:
+                regs[dst] = regs[src] ^ imm
+        durations.append(time.perf_counter() - start)
+    return CALIBRATION_REF_S / statistics.median(durations)
+
+
 def _measure(name, repeats, seed, items):
-    """``(instructions, {engine: min loop seconds})``.  Each repeat runs
-    both engines back to back, alternating their order, so host-load
-    swings land on both; the min is each engine's least-disturbed run."""
+    """``(instructions, {engine: min reference seconds})``.  Each repeat
+    runs both engines back to back, alternating their order, between two
+    host-speed samples whose mean scales both; the min is each engine's
+    least-disturbed run."""
     from repro.target import Target
 
     target = Target.resolve(name, seed=seed)
     counts = set()
     times = {engine: [] for engine in ENGINES}
+    scale = _host_scale()
     for repeat in range(repeats):
+        seconds = {}
         for engine in ENGINES if repeat % 2 == 0 else ENGINES[::-1]:
             run = target.run(items=items, engine=engine)
             counts.add(sum(core.instret for core in run.cores))
-            times[engine].append(run.host_seconds)
+            seconds[engine] = run.host_seconds
+        before, scale = scale, _host_scale()
+        for engine, wall in seconds.items():
+            times[engine].append(wall * (before + scale) / 2)
     if len(counts) != 1:
         raise RuntimeError(
             f"{name!r}: engines disagree on instruction count "

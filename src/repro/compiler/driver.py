@@ -195,7 +195,7 @@ class KernelCompiler:
         self.platform = platform if platform is not None else DEFAULT_PLATFORM
         # Opt-in static verification: every compiled artifact must pass
         # the repro.verify ISE checks (and the kernel body its lint)
-        # before it is returned or cached.
+        # before it is returned.
         self.verify = verify
         # Opt-in decision provenance; the null report swallows every
         # hook so the default path pays a single attribute load.
@@ -233,7 +233,6 @@ class KernelCompiler:
             self.profile.replicable_loads(const_regions)
             if allow_replication and const_regions else {}
         )
-        self._cache = {}
         self._enumerations = {}  # (block, max_inputs, max_outputs) -> memo
 
     # -- execution ------------------------------------------------------------
@@ -274,17 +273,13 @@ class KernelCompiler:
     # -- compilation ------------------------------------------------------------
 
     def compile(self, option):
-        """Compile + measure + validate one option (cached)."""
-        if option.name in self._cache:
-            return self._cache[option.name]
+        """Compile + measure + validate one option."""
         version = self.report.version(option)
         wall_start = time.perf_counter()
         try:
-            compiled = self._compile(option, version)
+            return self._compile(option, version)
         finally:
             version.wall_seconds = time.perf_counter() - wall_start
-        self._cache[option.name] = compiled
-        return compiled
 
     def _enumerate(self, block, max_outputs):
         """``(candidates, EnumerationLog)`` of one hot block, memoized.

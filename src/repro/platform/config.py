@@ -175,7 +175,7 @@ class PlatformConfig:
         return config
 
     def cache_key(self):
-        """A stable hashable identity (compile caches key on this)."""
+        """A stable hashable identity (the compile store keys on this)."""
         def flatten(value, prefix):
             if isinstance(value, dict):
                 for key in sorted(value):

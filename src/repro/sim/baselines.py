@@ -7,12 +7,12 @@ Figure 12 compares, all at 200 MHz on 16 message-passing cores:
 * **Stitch w/o fusion** — polymorphic patches, local use only,
 * **Stitch** — patches plus compiler-scheduled fusion (Algorithm 1).
 
-:class:`AppEvaluator` measures per-stage cycle tables by compiling and
-simulating each *structurally distinct* kernel once per option (stages
-differing only in input seed share a measurement — their programs are
-identical), then runs Algorithm 1 and the pipeline model per
-architecture.  It can also materialize the full 16-tile streaming
-binary set for the co-simulator.
+:func:`compile_kernel_options` is the one compile store: each (kernel,
+platform, replication, option) version is compiled once per process,
+shared by kernels differing only in input seed (their programs are
+identical).  :class:`AppEvaluator` reads per-stage cycle tables from
+it, then runs Algorithm 1 and the pipeline model per architecture, and
+can materialize the 16-tile streaming binary set for the co-simulator.
 """
 
 from repro.compiler.driver import (
@@ -37,22 +37,20 @@ ARCHITECTURES = (ARCH_BASELINE, ARCH_LOCUS, ARCH_NOFUSE, ARCH_STITCH)
 
 _SINGLE_NAMES = frozenset(option.name for option in SINGLE_OPTIONS)
 
-_COMPILE_CACHE = {}
-
-
-def _structural_key(kernel):
-    key = kernel.cache_key()
-    return (key[0], tuple(kv for kv in key[2] if kv[0] != "seed"))
+# (kernel, platform, replication[, option]) -> baseline cycles or a
+# CompiledKernel.  Results only: the compiler, its profile and its
+# enumeration memo are garbage once the missing options are compiled.
+_STORE = {}
 
 
 def compile_kernel_options(kernel, options=None, allow_replication=False,
                            platform=None):
-    """Cycle table + compiled programs for one kernel (cached).
+    """Cycle table + compiled programs for one kernel (the compile store).
 
     Returns ``(cycles: {name: cycles}, compiled: {name: CompiledKernel})``
-    with ``cycles["baseline"]`` included.  ``platform`` (None: the stitch
-    preset) keys the cache via :meth:`~repro.platform.PlatformConfig.cache_key`,
-    so sweeps over memory/NoC configurations never share measurements.
+    with ``cycles["baseline"]`` included; one :class:`KernelCompiler`
+    compiles only the options the store lacks.  ``platform`` (None: the
+    stitch preset) is part of the key; the seed is not.
 
     Const-region replication defaults off: placing a replica needs free
     space at the region's address in the *remote* tile's scratchpad,
@@ -61,17 +59,19 @@ def compile_kernel_options(kernel, options=None, allow_replication=False,
     compile without it; the Fig. 11 kernel study turns it on.
     """
     options = options if options is not None else ALL_OPTIONS + (LOCUS_OPTION,)
-    key = (_structural_key(kernel), tuple(o.name for o in options),
-           allow_replication,
-           (platform or DEFAULT_PLATFORM).cache_key())
-    if key not in _COMPILE_CACHE:
+    base = (kernel.cache_key(), (platform or DEFAULT_PLATFORM).cache_key(),
+            allow_replication)
+    missing = [o for o in options if base + (o.name,) not in _STORE]
+    if missing or base not in _STORE:
         compiler = KernelCompiler(kernel, allow_replication=allow_replication,
                                   platform=platform)
-        compiled = compiler.compile_options(options)
-        cycles = {name: c.cycles for name, c in compiled.items()}
-        cycles[BASELINE] = compiler.baseline_cycles
-        _COMPILE_CACHE[key] = (cycles, compiled)
-    return _COMPILE_CACHE[key]
+        _STORE[base] = compiler.baseline_cycles
+        for option in missing:
+            _STORE[base + (option.name,)] = compiler.compile(option)
+    compiled = {o.name: _STORE[base + (o.name,)] for o in options}
+    cycles = {name: c.cycles for name, c in compiled.items()}
+    cycles[BASELINE] = _STORE[base]
+    return cycles, compiled
 
 
 class AppEvaluator:
@@ -94,16 +94,12 @@ class AppEvaluator:
     def cycle_tables(self):
         """{stage id: {option name: per-item cycles}} (measured)."""
         if self._tables is None:
-            tables = {}
-            compiled = {}
+            tables, compiled = {}, {}
             for stage in self.app.stages:
-                cycles, programs = compile_kernel_options(
+                tables[stage.id], compiled[stage.id] = compile_kernel_options(
                     stage.kernel, platform=self.platform
                 )
-                tables[stage.id] = dict(cycles)
-                compiled[stage.id] = programs
-            self._tables = tables
-            self._compiled = compiled
+            self._tables, self._compiled = tables, compiled
         return self._tables
 
     def compiled_programs(self):

@@ -173,11 +173,13 @@ class Kernel:
         raise KeyError(f"{self.name} has no region named {name!r}")
 
     def cache_key(self):
-        """Key identifying this kernel build (for compile caches)."""
-        return (type(self).__name__, self.seed, tuple(
+        """Structural, seed-free key of this build (for the compile
+        store): the seed picks input data, never the program."""
+        return (type(self).__name__, tuple(
             sorted(
                 (k, v) for k, v in vars(self).items()
                 if isinstance(v, (int, str)) and not k.startswith("_")
+                and k != "seed"
             )
         ))
 

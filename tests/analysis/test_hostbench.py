@@ -146,3 +146,20 @@ class TestBenchHost:
         assert row["fast_speedup"] > 1.0
         assert result["aggregate"]["fast_speedup"] > 1.0
         assert result["bench"] == "host"
+
+    def test_each_repeat_scales_by_the_host_speed_around_it(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.analysis import hostbench
+        from repro.target import Target
+
+        scales = iter([1.0, 0.5, 2.0])  # before, between, after the repeats
+        monkeypatch.setattr(hostbench, "_host_scale", lambda: next(scales))
+        run = SimpleNamespace(cores=[SimpleNamespace(instret=10)],
+                              host_seconds=1.0)
+        target = SimpleNamespace(run=lambda items, engine: run)
+        monkeypatch.setattr(Target, "resolve", lambda name, seed: target)
+        instructions, seconds = hostbench._measure("fir", 2, seed=1, items=1)
+        assert instructions == 10
+        # Repeats read 1.0 s * 0.75 and 1.0 s * 1.25; the min counts.
+        assert seconds == {"instrumented": 0.75, "fast": 0.75}

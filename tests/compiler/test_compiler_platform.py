@@ -42,4 +42,6 @@ def test_default_platform_shares_the_compile_cache_entry():
     _, explicit = compile_kernel_options(
         kernel, options=options, platform=DEFAULT_PLATFORM
     )
-    assert explicit is implicit
+    assert explicit.keys() == implicit.keys()
+    for name, version in implicit.items():
+        assert explicit[name] is version

@@ -21,17 +21,17 @@ def fir_versions():
     report = CompileReport("fir")
     compiler = KernelCompiler(make_kernel("fir"), report=report)
     compiled = compiler.compile_options(ALL_OPTIONS)
-    return compiler, compiled, report
+    return compiled, report
 
 
 class TestVersioning:
     def test_one_version_per_option(self, fir_versions):
-        _, compiled, report = fir_versions
+        compiled, report = fir_versions
         assert sorted(compiled) == sorted(o.name for o in ALL_OPTIONS)
         assert sorted(report.versions) == sorted(compiled)
 
     def test_all_versions_bit_exact(self, fir_versions):
-        _, _, report = fir_versions
+        _, report = fir_versions
         assert all(
             v.validated is True for v in report.versions.values()
         )
@@ -46,7 +46,7 @@ class TestVersioning:
         # A fused option whose candidates cannot cross the pair still
         # compiles — its mappings are single-patch and the version says
         # so — and a version with fused mappings never claims fallback.
-        _, compiled, report = fir_versions
+        compiled, report = fir_versions
         for option in FUSED_OPTIONS:
             version = report.versions[option.name]
             assert version.fused
@@ -57,14 +57,9 @@ class TestVersioning:
                 assert not version.fallback_single
 
     def test_single_options_never_fuse(self, fir_versions):
-        _, compiled, _ = fir_versions
+        compiled, _ = fir_versions
         for option in SINGLE_OPTIONS:
             assert not compiled[option.name].uses_fusion
-
-    def test_versions_cached_by_option_name(self, fir_versions):
-        compiler, compiled, _ = fir_versions
-        again = compiler.compile(ALL_OPTIONS[0])
-        assert again is compiled[ALL_OPTIONS[0].name]
 
 
 class TestMiscompileError:

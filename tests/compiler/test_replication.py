@@ -9,16 +9,26 @@ a fused pattern's second load can run on the remote patch's LMAU.
 import pytest
 
 from repro.compiler import profile_kernel
-from repro.compiler.driver import ALL_OPTIONS, KernelCompiler
+from repro.compiler.driver import ALL_OPTIONS
 from repro.core.fusion import FusedConfig
+from repro.sim.baselines import compile_kernel_options
 from repro.workloads import make_kernel
 
 
+def best(versions):
+    return max(versions.values(), key=lambda c: c.speedup)
+
+
 @pytest.fixture(scope="module")
-def conv_compilers():
-    with_rep = KernelCompiler(make_kernel("2dconv"), allow_replication=True)
-    without = KernelCompiler(make_kernel("2dconv"), allow_replication=False)
-    return with_rep, without
+def conv_versions():
+    """2dconv's {option: CompiledKernel} with and without replication."""
+    return tuple(
+        compile_kernel_options(
+            make_kernel("2dconv"), options=ALL_OPTIONS,
+            allow_replication=allow,
+        )[1]
+        for allow in (True, False)
+    )
 
 
 class TestReplicableDetection:
@@ -64,50 +74,48 @@ class TestReadOnlyGate:
         assert all(r.name != "feature" for r in replicable.values())
 
     def test_ifft_compiles_clean_with_replication(self):
-        compiler = KernelCompiler(make_kernel("ifft"), allow_replication=True)
-        compiled = compiler.best_option(ALL_OPTIONS)
-        assert compiled.speedup >= 1.0  # validation inside compile()
+        _, compiled = compile_kernel_options(
+            make_kernel("ifft"), options=ALL_OPTIONS, allow_replication=True
+        )
+        assert best(compiled).speedup >= 1.0  # validation inside compile()
 
 
 class TestReplicationEffects:
-    def test_conv_fusion_gains_from_replication(self, conv_compilers):
-        with_rep, without = conv_compilers
-        best_with = with_rep.best_option(ALL_OPTIONS)
-        best_without = without.best_option(ALL_OPTIONS)
-        assert best_with.speedup > best_without.speedup
+    def test_conv_fusion_gains_from_replication(self, conv_versions):
+        with_rep, without = conv_versions
+        assert best(with_rep).speedup > best(without).speedup
 
-    def test_replicated_regions_recorded(self, conv_compilers):
-        with_rep, _ = conv_compilers
-        compiled = with_rep.best_option(ALL_OPTIONS)
+    def test_replicated_regions_recorded(self, conv_versions):
+        with_rep, _ = conv_versions
+        compiled = best(with_rep)
         assert any(r.name == "coef" for r in compiled.replicated_regions)
 
-    def test_remote_lmau_config_present(self, conv_compilers):
-        with_rep, _ = conv_compilers
-        compiled = with_rep.best_option(ALL_OPTIONS)
+    def test_remote_lmau_config_present(self, conv_versions):
+        with_rep, _ = conv_versions
+        compiled = best(with_rep)
         remote_loads = [
             cfg for cfg in compiled.cfg_table
             if isinstance(cfg, FusedConfig) and cfg.cfg_b.uses_lmau()
         ]
         assert remote_loads
 
-    def test_without_replication_no_remote_lmau(self, conv_compilers):
-        _, without = conv_compilers
-        for option_name, compiled in without.compile_options(ALL_OPTIONS).items():
+    def test_without_replication_no_remote_lmau(self, conv_versions):
+        _, without = conv_versions
+        for option_name, compiled in without.items():
             for cfg in compiled.cfg_table:
                 if isinstance(cfg, FusedConfig):
                     assert not cfg.cfg_b.uses_lmau(), option_name
 
-    def test_results_still_validate(self, conv_compilers):
+    def test_results_still_validate(self, conv_versions):
         # compile() raises MiscompileError on any divergence, so this
         # is implicitly checked; assert the flag explicitly anyway.
-        with_rep, _ = conv_compilers
-        compiled = with_rep.best_option(ALL_OPTIONS)
-        assert compiled.speedup >= 1.0
+        with_rep, _ = conv_versions
+        assert best(with_rep).speedup >= 1.0
 
-    def test_stores_never_cross(self, conv_compilers):
-        with_rep, _ = conv_compilers
+    def test_stores_never_cross(self, conv_versions):
+        with_rep, _ = conv_versions
         from repro.core.config import TMode
-        for compiled in with_rep.compile_options(ALL_OPTIONS).values():
+        for compiled in with_rep.values():
             for cfg in compiled.cfg_table:
                 if isinstance(cfg, FusedConfig):
                     assert cfg.cfg_b.t in (

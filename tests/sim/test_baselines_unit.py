@@ -12,7 +12,6 @@ from repro.sim.baselines import (
     ARCH_NOFUSE,
     ARCH_STITCH,
     AppEvaluator,
-    _structural_key,
 )
 from repro.workloads import make_kernel
 from repro.workloads.apps import app4_transport
@@ -79,10 +78,10 @@ class TestStructuralKey:
     def test_seed_ignored(self):
         a = make_kernel("fir", seed=1)
         b = make_kernel("fir", seed=9)
-        assert _structural_key(a) == _structural_key(b)
+        assert a.cache_key() == b.cache_key()
 
     def test_params_distinguish(self):
         a = make_kernel("2dconv")
         b = make_kernel("2dconv")
         b.width = 8  # pretend a different build
-        assert _structural_key(a) != _structural_key(b)
+        assert a.cache_key() != b.cache_key()

@@ -2,7 +2,7 @@
 
 Every kernel of the suite — across all patch options — and every
 application's stitch plan must produce zero error-severity diagnostics.
-These tests share the compile cache with the rest of the suite, so the
+These tests share the compile store with the rest of the suite, so the
 marginal cost is one verification sweep, not a recompilation.
 """
 
